@@ -41,7 +41,11 @@ from repro.cloud.controlplane.placement import (
     feasible,
     make_placer,
 )
-from repro.cloud.controlplane.plane import CityControlPlane, TenantRecord
+from repro.cloud.controlplane.plane import (
+    TENANT_STATES,
+    CityControlPlane,
+    TenantRecord,
+)
 from repro.cloud.controlplane.ring import ConsistentHashRouter
 from repro.cloud.controlplane.shard import ORDER_STRIDE, ControlPlaneShard
 
@@ -80,4 +84,5 @@ __all__ = [
     "ORDER_STRIDE",
     "CityControlPlane",
     "TenantRecord",
+    "TENANT_STATES",
 ]

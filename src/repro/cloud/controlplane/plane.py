@@ -43,6 +43,11 @@ from repro.cloud.controlplane.shard import ControlPlaneShard
 from repro.cloud.portal import Order
 
 
+#: Every state a :class:`TenantRecord` can be in.
+TENANT_STATES = ("queued", "flying", "migrating", "completed", "failed",
+                 "rejected")
+
+
 @dataclass
 class TenantRecord:
     """Control-plane view of one virtual-drone order's lifecycle."""
@@ -55,7 +60,7 @@ class TenantRecord:
     drone_id: Optional[str] = None
     #: flights this tenant still needs; > 1 means migration(s) ahead.
     legs_remaining: int = 1
-    #: queued | flying | migrating | completed | failed | rejected
+    #: one of :data:`TENANT_STATES`.
     state: str = "queued"
     submitted_t_us: int = 0
     completed_t_us: Optional[int] = None

@@ -8,6 +8,12 @@ shard workers.  Users are mapped to shards by position on a hash ring
 consistent-hashing property is what makes elastic resharding cheap:
 removing a shard moves *only* the keys that shard owned, and adding it
 back restores the exact previous mapping.
+
+Because a key's shard depends only on (key, membership, vnodes), the
+router memoizes each answer until the membership next changes: the city
+invariant monitor re-routes every tenant record on every sweep, and
+without the memo each of those lookups re-hashes the same few hundred
+user names.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ class ConsistentHashRouter:
         self.vnodes = vnodes
         self._points: List[Tuple[int, str]] = []
         self._shards: Dict[str, List[int]] = {}
+        #: key -> shard under the current membership; cleared on change.
+        self._routes: Dict[str, str] = {}
         for shard_id in shard_ids:
             self.add_shard(shard_id)
         if not self._shards:
@@ -58,6 +66,7 @@ class ConsistentHashRouter:
         self._shards[shard_id] = points
         for point in points:
             bisect.insort(self._points, (point, shard_id))
+        self._routes.clear()
 
     def remove_shard(self, shard_id: str) -> None:
         if shard_id not in self._shards:
@@ -68,11 +77,18 @@ class ConsistentHashRouter:
         points = set(self._shards.pop(shard_id))
         self._points = [(p, s) for p, s in self._points
                         if not (s == shard_id and p in points)]
+        self._routes.clear()
 
     # -- routing --------------------------------------------------------------
     def route(self, key: str) -> str:
         """The shard owning ``key``: the first ring point at or after
         the key's coordinate, wrapping at the top of the ring."""
+        shard_id = self._routes.get(key)
+        if shard_id is None:
+            shard_id = self._routes[key] = self._walk(key)
+        return shard_id
+
+    def _walk(self, key: str) -> str:
         coordinate = _point(key)
         index = bisect.bisect_left(self._points, (coordinate, ""))
         if index == len(self._points):

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import repro.obs as obs
 from repro.cloud.controlplane import (
     PLACERS,
+    TENANT_STATES,
     WHITELIST_CLASSES,
     CityControlPlane,
     DroneSpec,
@@ -301,6 +302,9 @@ class CityInvariantMonitor:
                 self._flag(tenant, "single-placement",
                            f"hosted by {sorted(drone_ids)} simultaneously")
         for tenant, record in self.plane.records.items():
+            if record.state not in TENANT_STATES:
+                self._flag(tenant, "conservation",
+                           f"unknown state {record.state!r}")
             hosted = tenant in hosts
             if record.state in ("queued", "flying") and not hosted:
                 self._flag(tenant, "conservation",

@@ -4,7 +4,12 @@ The elastic-resharding properties the control plane leans on: routing
 is a pure function of (key, membership, vnodes) — no process state, no
 ``hash()`` randomization — removing a shard moves *only* the keys that
 shard owned, and adding it back restores the exact previous mapping.
+The router memoizes each key's shard until membership changes, so these
+tests also pin that the memo never serves a stale answer and that it
+really saves the ring walks.
 """
+
+import random
 
 import pytest
 
@@ -12,7 +17,9 @@ from repro.cloud.controlplane import (
     ConsistentHashRouter,
     ControlPlaneConfigError,
     UnknownShardError,
+    ring,
 )
+from repro.loadgen import CityScenario, run_city
 
 SHARDS = ["shard-0", "shard-1", "shard-2", "shard-3"]
 KEYS = [f"user{i:04d}" for i in range(500)]
@@ -87,3 +94,42 @@ class TestMembershipChanges:
     def test_empty_ring_is_typed(self):
         with pytest.raises(ControlPlaneConfigError):
             ConsistentHashRouter([])
+
+
+class TestMemo:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_memo_matches_fresh_router_after_membership_changes(self, seed):
+        rng = random.Random(seed)
+        spare = [f"shard-{i}" for i in range(4, 8)]
+        router = make_router()
+        router.table(KEYS)          # fill the memo before the first change
+        for _ in range(12):
+            members = router.shard_ids()
+            if spare and (len(members) == 1 or rng.random() < 0.5):
+                router.add_shard(spare.pop(rng.randrange(len(spare))))
+            else:
+                removed = members[rng.randrange(len(members))]
+                router.remove_shard(removed)
+                spare.append(removed)
+            fresh = make_router(router.shard_ids())
+            assert router.table(KEYS) == fresh.table(KEYS)
+
+    def test_city_run_hashes_each_key_once_per_membership(self, monkeypatch):
+        calls = []
+        real_point = ring._point
+
+        def counting_point(data):
+            calls.append(data)
+            return real_point(data)
+
+        monkeypatch.setattr(ring, "_point", counting_point)
+        scenario = CityScenario(seed=42, shards=2, drones=8, orders=24,
+                                migration_every=8, capacity=3,
+                                max_pending=12)
+        result = run_city(scenario)
+        result.assert_clean()
+        # Every sweep re-routes every record; without the memo each of
+        # those lookups would hash its user name again.
+        assert result.invariant_checks > 10
+        assert len(calls) <= (scenario.orders
+                              + scenario.shards * ring.DEFAULT_VNODES)
