@@ -25,6 +25,7 @@ from repro.android.permissions import Permission
 from repro.binder.driver import TransientBinderError
 from repro.binder.objects import Transaction
 from repro.faults.policies import RetriesExhausted, RetryPolicy, retry_call
+from repro.obs.metrics import NULL_HISTOGRAM
 
 
 class ServiceAccessDenied(PermissionError):
@@ -174,11 +175,13 @@ class SystemService:
                 return {"error": denied_msg, "denied": True}
             self.served_calls += 1
             served.inc()
+            # Telemetry off: ``histo`` is the shared null histogram, so
+            # there is no latency to time.
+            if histo is NULL_HISTOGRAM:
+                return method(txn)
             # Call latency is wall-clock (the handler runs synchronously,
             # so no sim time passes); the one deliberately
-            # nondeterministic metric — see docs/METRICS.md.  With
-            # telemetry disabled ``histo`` is the shared null histogram,
-            # so no enabled() branch is needed.
+            # nondeterministic metric — see docs/METRICS.md.
             start_ns = time.perf_counter_ns()  # repro-lint: disable=sim-clock
             try:
                 return method(txn)

@@ -23,6 +23,7 @@ from repro.flight.controllers import (
     AttitudeController,
     AttitudeTarget,
     PositionController,
+    clamp,
     mix_motors,
 )
 from repro.flight.estimator import AttitudeEstimator, PositionEstimator
@@ -384,8 +385,8 @@ class Autopilot:
         # acceleration follows from the estimated lean angles (thrust tilt)
         # minus an airframe drag term.
         est = self.attitude_est
-        a_forward = -math.tan(max(-0.6, min(0.6, est.pitch))) * 9.80665
-        a_right = math.tan(max(-0.6, min(0.6, est.roll))) * 9.80665
+        a_forward = -math.tan(clamp(est.pitch, -0.6, 0.6)) * 9.80665
+        a_right = math.tan(clamp(est.roll, -0.6, 0.6)) * 9.80665
         sy, cy = math.sin(est.yaw), math.cos(est.yaw)
         drag = 0.23
         accel_e = a_forward * sy + a_right * cy - drag * self.position_est.velocity[0]

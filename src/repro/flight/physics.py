@@ -22,6 +22,13 @@ from repro.flight.geo import GeoPoint, offset_geopoint
 
 GRAVITY = 9.80665
 
+#: Constants of the per-step formulas, hoisted out of the step.
+SQRT_HALF = math.sqrt(0.5)
+TWO_PI = 2 * math.pi
+#: sqrt(2 rho A) of the induced-power model: air density 1.225 kg/m^3
+#: over one 9.5" prop disk.
+INDUCED_POWER_DENOM = math.sqrt(2 * 1.225 * (math.pi * (0.120) ** 2))
+
 
 @dataclass
 class QuadcopterParams:
@@ -112,17 +119,17 @@ class QuadcopterPhysics:
 
     def propulsion_power_w(self) -> float:
         """Electrical power drawn by the motors (induced-power model)."""
-        thrust = self.total_thrust()
-        if thrust <= 0.0:
+        motor_thrust = self.motor_thrust
+        if sum(motor_thrust) <= 0.0:
             return 0.0
         # P = T^(3/2) / sqrt(2 rho A) / figure-of-merit, per rotor.
-        rho = 1.225
-        disk_area = math.pi * (0.120) ** 2  # 9.5" prop
-        per_motor = [
-            (t ** 1.5) / math.sqrt(2 * rho * disk_area) / 0.55
-            for t in self.motor_thrust
-        ]
-        return sum(per_motor)
+        t1, t2, t3, t4 = motor_thrust
+        return sum((
+            (t1 ** 1.5) / INDUCED_POWER_DENOM / 0.55,
+            (t2 ** 1.5) / INDUCED_POWER_DENOM / 0.55,
+            (t3 ** 1.5) / INDUCED_POWER_DENOM / 0.55,
+            (t4 ** 1.5) / INDUCED_POWER_DENOM / 0.55,
+        ))
 
     # -- dynamics -------------------------------------------------------------------
     def step(self, dt_s: float, motor_commands: Tuple[float, float, float, float]) -> None:
@@ -131,85 +138,118 @@ class QuadcopterPhysics:
         Motor order (X configuration, ArduPilot numbering): 1 front-right
         (CCW), 2 back-left (CCW), 3 front-left (CW), 4 back-right (CW).
         """
+        # Runs on every SITL tick, so it works on scalar locals; the
+        # position, velocity and motor_thrust lists are updated in place.
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         p = self.params
-        commands = [min(1.0, max(0.0, c)) for c in motor_commands]
+        # Commands clamped to [0, 1] (same result as max then min).
+        c1, c2, c3, c4 = motor_commands
+        c1 = c1 if c1 > 0.0 else 0.0
+        c1 = c1 if c1 < 1.0 else 1.0
+        c2 = c2 if c2 > 0.0 else 0.0
+        c2 = c2 if c2 < 1.0 else 1.0
+        c3 = c3 if c3 > 0.0 else 0.0
+        c3 = c3 if c3 < 1.0 else 1.0
+        c4 = c4 if c4 > 0.0 else 0.0
+        c4 = c4 if c4 < 1.0 else 1.0
         # First-order motor response toward commanded thrust.
         alpha = 1.0 - math.exp(-dt_s / p.motor_tau_s)
-        for i in range(4):
-            target = commands[i] * p.max_thrust_per_motor_n
-            self.motor_thrust[i] += (target - self.motor_thrust[i]) * alpha
+        max_thrust = p.max_thrust_per_motor_n
+        motor_thrust = self.motor_thrust
+        t1, t2, t3, t4 = motor_thrust
+        t1 += (c1 * max_thrust - t1) * alpha
+        t2 += (c2 * max_thrust - t2) * alpha
+        t3 += (c3 * max_thrust - t3) * alpha
+        t4 += (c4 * max_thrust - t4) * alpha
+        motor_thrust[0] = t1
+        motor_thrust[1] = t2
+        motor_thrust[2] = t3
+        motor_thrust[3] = t4
 
-        t1, t2, t3, t4 = self.motor_thrust
         thrust = t1 + t2 + t3 + t4
         # X config: motors 3,2 on the left/back-left, 1,4 right... compute
         # torques with the standard 45-degree arm projection.
-        arm = p.arm_length_m * math.sqrt(0.5)
+        arm = p.arm_length_m * SQRT_HALF
         torque_roll = arm * ((t2 + t3) - (t1 + t4))    # left minus right
         torque_pitch = arm * ((t1 + t3) - (t2 + t4))   # front minus back
         torque_yaw = p.yaw_torque_coeff * ((t1 + t2) - (t3 + t4))  # CCW - CW
 
         # Angular dynamics.
         ix, iy, iz = p.inertia
+        angular_drag = p.angular_drag
         rp, rq, rr = self.rates
-        rp += (torque_roll - p.angular_drag * rp) / ix * dt_s
-        rq += (torque_pitch - p.angular_drag * rq) / iy * dt_s
-        rr += (torque_yaw - p.angular_drag * rr) / iz * dt_s
+        rp += (torque_roll - angular_drag * rp) / ix * dt_s
+        rq += (torque_pitch - angular_drag * rq) / iy * dt_s
+        rr += (torque_yaw - angular_drag * rr) / iz * dt_s
         self.rates = [rp, rq, rr]
-        self.roll += rp * dt_s
-        self.pitch += rq * dt_s
-        self.yaw = (self.yaw + rr * dt_s) % (2 * math.pi)
+        roll = self.roll + rp * dt_s
+        pitch = self.pitch + rq * dt_s
+        yaw = (self.yaw + rr * dt_s) % TWO_PI
+        self.roll = roll
+        self.pitch = pitch
+        self.yaw = yaw
 
         # Thrust direction.  Conventions: yaw 0 faces north, positive
         # clockwise (compass); positive roll = right side down (accelerates
         # right); positive pitch = nose up (accelerates backward).
-        sr, cr = math.sin(self.roll), math.cos(self.roll)
-        sp, cp = math.sin(self.pitch), math.cos(self.pitch)
-        sy, cy = math.sin(self.yaw), math.cos(self.yaw)
+        sr, cr = math.sin(roll), math.cos(roll)
+        sp, cp = math.sin(pitch), math.cos(pitch)
+        sy, cy = math.sin(yaw), math.cos(yaw)
         forward_force = thrust * (-sp)          # nose up -> backward
         right_force = thrust * (sr * cp)        # right down -> right
         up_force = thrust * (cp * cr)
         # Body-forward in ENU is (sin yaw, cos yaw); body-right is
         # (cos yaw, -sin yaw) for compass yaw.
+        mass = p.mass_kg
         force_e = forward_force * sy + right_force * cy
         force_n = forward_force * cy - right_force * sy
-        force_u = up_force - p.mass_kg * GRAVITY
+        force_u = up_force - mass * GRAVITY
 
-        gust = (0.0, 0.0, 0.0)
-        if self._rng is not None:
-            gust = tuple(self._rng.gauss(0.0, 0.05) for _ in range(3))
-        rel_v = [self.velocity[i] - self.wind_enu[i] for i in range(3)]
-        accel = [
-            (force_e - p.linear_drag * rel_v[0]) / p.mass_kg + gust[0],
-            (force_n - p.linear_drag * rel_v[1]) / p.mass_kg + gust[1],
-            (force_u - p.linear_drag * rel_v[2]) / p.mass_kg + gust[2],
-        ]
+        gust_e = gust_n = gust_u = 0.0
+        rng = self._rng
+        if rng is not None:
+            gust_e = rng.gauss(0.0, 0.05)
+            gust_n = rng.gauss(0.0, 0.05)
+            gust_u = rng.gauss(0.0, 0.05)
+        velocity = self.velocity
+        wind_e, wind_n, wind_u = self.wind_enu
+        drag = p.linear_drag
+        accel_e = (force_e - drag * (velocity[0] - wind_e)) / mass + gust_e
+        accel_n = (force_n - drag * (velocity[1] - wind_n)) / mass + gust_n
+        accel_u = (force_u - drag * (velocity[2] - wind_u)) / mass + gust_u
         # Dynamic acceleration rotated into the body frame (yaw only; the
         # small-tilt approximation is plenty for the IMU model, which adds
         # the gravity components itself).
         self._last_accel_body = (
-            accel[0] * sy + accel[1] * cy,
-            accel[0] * cy - accel[1] * sy,
-            accel[2],
+            accel_e * sy + accel_n * cy,
+            accel_e * cy - accel_n * sy,
+            accel_u,
         )
 
-        for i in range(3):
-            self.velocity[i] += accel[i] * dt_s
-        for i in range(3):
-            self.position[i] += self.velocity[i] * dt_s
+        ve = velocity[0] + accel_e * dt_s
+        vn = velocity[1] + accel_n * dt_s
+        vu = velocity[2] + accel_u * dt_s
+        velocity[0] = ve
+        velocity[1] = vn
+        velocity[2] = vu
+        position = self.position
+        position[0] += ve * dt_s
+        position[1] += vn * dt_s
+        up = position[2] + vu * dt_s
+        position[2] = up
 
         # Ground contact.
-        if self.position[2] <= 0.0:
-            self.position[2] = 0.0
-            if self.velocity[2] < 0.0:
-                self.velocity[2] = 0.0
-            if thrust < p.mass_kg * GRAVITY * 0.95:
+        if up <= 0.0:
+            position[2] = up = 0.0
+            if vu < 0.0:
+                velocity[2] = 0.0
+            if thrust < mass * GRAVITY * 0.95:
                 self.on_ground = True
                 self.velocity = [0.0, 0.0, 0.0]
                 self.rates = [0.0, 0.0, 0.0]
                 self.roll = self.pitch = 0.0
-        if self.position[2] > 0.02:
+        if up > 0.02:
             self.on_ground = False
 
         self.propulsion_energy_j += self.propulsion_power_w() * dt_s

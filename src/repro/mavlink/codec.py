@@ -23,12 +23,30 @@ class CodecError(ValueError):
     """Malformed or corrupt MAVLink frame."""
 
 
+def _x25_table() -> tuple:
+    """Per-byte steps of the X.25 CRC: entry ``i`` is what one byte does
+    to a CRC whose low byte XOR the input byte is ``i``."""
+    table = []
+    for index in range(256):
+        tmp = (index ^ (index << 4)) & 0xFF
+        table.append(((tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF)
+    return tuple(table)
+
+
+_X25_TABLE = _x25_table()
+
+
 def x25_crc(data: bytes, crc: int = 0xFFFF) -> int:
-    """CRC-16/MCRF4XX, the MAVLink checksum."""
+    """CRC-16/MCRF4XX, the MAVLink checksum (``crc`` is a 16-bit start).
+
+    Table-driven, one lookup per byte; for every input and start value
+    the result equals the per-byte shift-and-XOR form
+    ``tmp = byte ^ (crc & 0xFF); tmp = (tmp ^ (tmp << 4)) & 0xFF;
+    crc = ((crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF``.
+    """
+    table = _X25_TABLE
     for byte in data:
-        tmp = byte ^ (crc & 0xFF)
-        tmp = (tmp ^ (tmp << 4)) & 0xFF
-        crc = ((crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF
+        crc = (crc >> 8) ^ table[(byte ^ crc) & 0xFF]
     return crc
 
 
