@@ -1,14 +1,17 @@
-"""The fast service-dispatch lane vs the reference path, reply for reply.
+"""Service dispatch vs the recorded reference replies, reply for reply.
 
-``SystemService.handle_txn`` grew a fast lane (memoized dispatch lanes,
-interned counters, inlined access checks, ``to_dict`` payloads); the
-original body survives as ``_handle_txn_ref`` and behind
-``use_fast_ops=False``.  Two identically-seeded drone rigs — one per
-configuration — must produce byte-identical replies on the storm
-workload, on unknown codes, and on policy denials, and the fast lane
-must keep honoring instance-level op overrides (fault and security
-tests monkey-patch ``op_*`` methods on live services).
+``SystemService.handle_txn`` dispatches through memoized lanes
+(interned counters, ``to_dict`` payloads).  The replies of the plain
+getattr/``asdict`` dispatch body it replaced were recorded in
+``fixtures/dispatch_replies.json``: the storm workload, unknown codes,
+a policy denial and an instance-level op override.  A seeded drone rig
+must reproduce them exactly, and the lane memo must keep honoring
+instance-level op overrides (fault and security tests monkey-patch
+``op_*`` methods on live services).
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +19,21 @@ from repro.loadgen import FleetScenario, FleetHarness
 from repro.loadgen.workloads import STORM_CALLS
 from repro.sched import make_tie_breaker
 
-#: same-tick schedules the fast/ref equivalence is re-proven under.
+#: same-tick schedules the recorded replies are re-proven under.
 EXPLORED_SCHEDULES = [0, 1, 2, 3, 4]
 
+#: replies recorded from the reference dispatch body.  Tuples in the
+#: live replies are compared through their JSON form.
+RECORDED = json.loads(
+    (Path(__file__).parent / "fixtures" / "dispatch_replies.json")
+    .read_text())
 
-def make_rig(fast: bool, waypoint: bool = True):
+
+def as_recorded(reply):
+    return json.loads(json.dumps(reply))
+
+
+def make_rig(waypoint: bool = True):
     harness = FleetHarness(FleetScenario(
         seed=42, drones=1, tenants_per_drone=1, workload_mix=["storm"]))
     slot = harness.slots[0]
@@ -28,83 +41,68 @@ def make_rig(fast: bool, waypoint: bool = True):
     tenant = slot.tenants[0]
     if waypoint:
         node.vdc.waypoint_reached(tenant)
-    if not fast:
-        node.driver.use_fast_path = False
-        for service in node.device_env.system_server.services.values():
-            service.use_fast_ops = False
-        node.sitl.physics.cache_snapshots = False
     app = next(iter(node.vdc.drones[tenant].env.apps.values()))
     return node, app
 
 
 def test_storm_replies_identical_across_configs():
-    _, fast_app = make_rig(fast=True)
-    _, ref_app = make_rig(fast=False)
-    for i in range(40):
+    _, app = make_rig()
+    for i, expected in enumerate(RECORDED["storm"]):
         svc, code, data = STORM_CALLS[i % len(STORM_CALLS)]
-        fast_reply = fast_app.call_service(svc, code, dict(data))
-        ref_reply = ref_app.call_service(svc, code, dict(data))
-        assert fast_reply == ref_reply, (svc, code, i)
+        reply = app.call_service(svc, code, dict(data))
+        assert as_recorded(reply) == expected, (svc, code, i)
 
 
 @pytest.mark.parametrize("schedule", EXPLORED_SCHEDULES)
 def test_storm_replies_identical_under_explored_schedules(schedule):
-    """Fast/ref equivalence must not depend on same-tick event order.
+    """The replies must not depend on same-tick event order.
 
-    Both rigs advance their simulators under the SAME explored schedule
-    between call batches, so the background fleet events interleave
-    identically-but-permuted on each side; replies must stay byte-equal.
+    The rig advances its simulator under an explored schedule between
+    call batches, so the background fleet events interleave in a
+    permuted order; the reference path gave the same replies under
+    every one of these schedules.
     """
-    fast_node, fast_app = make_rig(fast=True)
-    ref_node, ref_app = make_rig(fast=False)
-    rigs = [(fast_node, fast_app), (ref_node, ref_app)]
-    for node, _ in rigs:
-        node.sim.set_tie_breaker(
-            make_tie_breaker("random", 42, schedule))
+    node, app = make_rig()
+    node.sim.set_tie_breaker(make_tie_breaker("random", 42, schedule))
     try:
-        for i in range(30):
+        for i, expected in enumerate(RECORDED["storm_with_sim_advance"]):
             svc, code, data = STORM_CALLS[i % len(STORM_CALLS)]
-            fast_reply = fast_app.call_service(svc, code, dict(data))
-            ref_reply = ref_app.call_service(svc, code, dict(data))
-            assert fast_reply == ref_reply, (svc, code, i, schedule)
+            reply = app.call_service(svc, code, dict(data))
+            assert as_recorded(reply) == expected, (svc, code, i, schedule)
             if i % 10 == 9:
-                for node, _ in rigs:
-                    node.sim.run_for(50_000)
+                node.sim.run_for(50_000)
     finally:
-        for node, _ in rigs:
-            node.sim.set_tie_breaker(None)
+        node.sim.set_tie_breaker(None)
 
 
 @pytest.mark.parametrize("svc", ["CameraService", "SensorService",
                                  "LocationManagerService"])
 def test_unknown_code_error_identical(svc):
-    _, fast_app = make_rig(fast=True)
-    _, ref_app = make_rig(fast=False)
-    fast_reply = fast_app.call_service(svc, "no_such_op", {})
-    ref_reply = ref_app.call_service(svc, "no_such_op", {})
-    assert fast_reply == ref_reply
-    assert "error" in fast_reply
+    _, app = make_rig()
+    reply = app.call_service(svc, "no_such_op", {})
+    assert reply == RECORDED["unknown_code"][svc]
+    assert "error" in reply
 
 
 def test_policy_denial_identical_without_waypoint():
     """Before waypoint_reached the device policy denies camera capture."""
-    _, fast_app = make_rig(fast=True, waypoint=False)
-    _, ref_app = make_rig(fast=False, waypoint=False)
-    fast_reply = fast_app.call_service("CameraService", "capture", {})
-    ref_reply = ref_app.call_service("CameraService", "capture", {})
-    assert fast_reply == ref_reply
-    assert "error" in fast_reply
+    _, app = make_rig(waypoint=False)
+    reply = app.call_service("CameraService", "capture", {})
+    assert reply == RECORDED["policy_denial"]
+    assert reply["denied"] is True
 
 
 def test_fast_lane_honors_instance_op_override():
     """The lane memo must not capture bound methods: security/fault tests
     monkey-patch ``op_*`` on live service instances."""
-    node, app = make_rig(fast=True)
-    assert app.call_service("CameraService", "capture", {}).get(
-        "status") == "ok"  # lane is now warm
+    node, app = make_rig()
+    first, poisoned, restored = RECORDED["op_override"]
+    # The first call warms the lane.
+    assert as_recorded(app.call_service("CameraService", "capture", {})) \
+        == first
     service = node.device_env.system_server.services["CameraService"]
     service.op_capture = lambda txn: {"status": "ok", "poisoned": True}
-    reply = app.call_service("CameraService", "capture", {})
-    assert reply.get("poisoned") is True
+    assert app.call_service("CameraService", "capture", {}) == poisoned
     del service.op_capture
-    assert "poisoned" not in app.call_service("CameraService", "capture", {})
+    assert as_recorded(app.call_service("CameraService", "capture", {})) \
+        == restored

@@ -1,11 +1,16 @@
 """Batched async (oneway) delivery: one event per tick, not per message.
 
-``transact_async`` is the tentpole of the engine pass: every message
-queued within a simulator tick rides ONE flush event through the heap.
-These tests pin down the contract and hold the batched path to the
-per-message legacy oracle (``use_fast_path=False``): same replies, same
-order, same handler effects — only the event-queue traffic differs.
+``transact_async`` rides every message queued within a simulator tick on
+ONE flush event through the heap.  These tests pin down that contract
+and hold the replies, their order and the handler effects to the
+records in ``fixtures/async_replies.json``, captured from the
+per-message delivery path the batched flush replaced.  Each contract is
+checked with telemetry on and off: delivery must not depend on whether
+its counters are live.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,10 @@ from repro.sim import Simulator
 #: (index into the seeded random tie-breaker family, see repro.sched).
 EXPLORED_SCHEDULES = [0, 1, 2, 3, 4]
 
+#: replies and handler calls recorded from the per-message path.
+RECORDED = json.loads(
+    (Path(__file__).parent / "fixtures" / "async_replies.json").read_text())
+
 
 @pytest.fixture
 def registry():
@@ -28,10 +37,18 @@ def registry():
     obs.reset()
 
 
-def make_rig(batched: bool):
+@pytest.fixture
+def telemetry(request):
+    """``True`` runs the test with a live registry, ``False`` without."""
+    if request.param:
+        obs.enable()
+    yield request.param
+    obs.reset()
+
+
+def make_rig():
     """A driver bound to a sim with one echo service and a client."""
     driver = BinderDriver(device_container_name="device")
-    driver.use_fast_path = batched
     sim = Simulator()
     driver.bind_sim(sim)
     ns = NamespaceSet("vd1")
@@ -40,7 +57,7 @@ def make_rig(batched: bool):
     calls = []
 
     def handler(txn):
-        calls.append((txn.code, dict(txn.data)))
+        calls.append([txn.code, dict(txn.data)])
         return {"status": "ok", "echo": txn.data.get("x")}
 
     manager.register("Echo", server.create_node(handler, "echo"))
@@ -50,7 +67,7 @@ def make_rig(batched: bool):
 
 
 def test_batched_mode_uses_one_event_for_many_messages(registry):
-    driver, sim, _, client, handle, calls = make_rig(batched=True)
+    driver, sim, _, client, handle, calls = make_rig()
     replies = []
     for i in range(10):
         client.transact_async(handle, "ping", {"x": i},
@@ -59,48 +76,39 @@ def test_batched_mode_uses_one_event_for_many_messages(registry):
     executed = sim.run(until=sim.now)
     assert executed == 1, "a whole tick's messages must share one event"
     assert driver.async_pending() == 0
-    assert [r["echo"] for r in replies] == list(range(10))
-    assert [c[1]["x"] for c in calls] == list(range(10))
+    assert replies == RECORDED["pings"]["replies"]
+    assert calls == RECORDED["pings"]["calls"]
     assert registry.counter("binder.async_batches").value == 1
     histo = registry.histogram("binder.async_batch_size", unit="msgs")
     assert histo.count == 1
 
 
-def test_legacy_mode_uses_one_event_per_message(registry):
-    driver, sim, _, client, handle, calls = make_rig(batched=False)
-    replies = []
-    for i in range(10):
-        client.transact_async(handle, "ping", {"x": i},
-                              on_reply=replies.append)
-    executed = sim.run(until=sim.now)
-    assert executed == 10, "the oracle schedules one event per message"
-    assert [r["echo"] for r in replies] == list(range(10))
-    # Per-event accounting stays honest: ten batches of one.
-    assert registry.counter("binder.async_batches").value == 10
-
-
-@pytest.mark.parametrize("batched", [True, False])
-def test_modes_agree_on_replies_order_and_effects(registry, batched):
-    _, sim, _, client, handle, calls = make_rig(batched=batched)
+def _mixed_codes(schedule=None):
+    _, sim, _, client, handle, calls = make_rig()
     replies = []
     for i in range(25):
         client.transact_async(handle, f"op{i % 3}", {"x": i},
                               on_reply=replies.append)
+    if schedule is not None:
+        sim.set_tie_breaker(make_tie_breaker("random", 42, schedule))
     sim.run(until=sim.now)
-    assert [r["echo"] for r in replies] == list(range(25))
-    assert [c[0] for c in calls] == [f"op{i % 3}" for i in range(25)]
+    return {"replies": replies, "calls": calls}
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_dead_node_becomes_error_reply_not_exception(registry, batched):
-    _, sim, server, client, handle, _ = make_rig(batched=batched)
+@pytest.mark.parametrize("telemetry", [True, False], indirect=True)
+def test_modes_agree_on_replies_order_and_effects(telemetry):
+    assert _mixed_codes() == RECORDED["mixed_codes"]
+
+
+@pytest.mark.parametrize("telemetry", [True, False], indirect=True)
+def test_dead_node_becomes_error_reply_not_exception(telemetry):
+    _, sim, server, client, handle, _ = make_rig()
     replies = []
     client.transact_async(handle, "ping", {"x": 1}, on_reply=replies.append)
     server.close()
     client.transact_async(handle, "ping", {"x": 2}, on_reply=replies.append)
     sim.run(until=sim.now)
-    assert len(replies) == 2
-    assert "error" in replies[0] and "error" in replies[1]
+    assert replies == RECORDED["dead_node"]
 
 
 def test_messages_sent_during_flush_ride_the_next_event(registry):
@@ -131,24 +139,15 @@ def test_messages_sent_during_flush_ride_the_next_event(registry):
 
 
 @pytest.mark.parametrize("schedule", EXPLORED_SCHEDULES)
-@pytest.mark.parametrize("batched", [True, False])
-def test_reply_order_holds_under_explored_schedules(
-        registry, batched, schedule):
-    """Submission-order delivery is schedule-neutral on BOTH paths.
+@pytest.mark.parametrize("telemetry", [True, False], indirect=True)
+def test_reply_order_holds_under_explored_schedules(telemetry, schedule):
+    """Submission-order delivery is schedule-neutral.
 
-    The legacy path once violated this: each message rode its own
+    The per-message path once violated this: each message rode its own
     delivery event's closure, so permuting same-tick events permuted
     one sender's replies (see tests/sched/fixtures/).
     """
-    _, sim, _, client, handle, calls = make_rig(batched=batched)
-    replies = []
-    for i in range(25):
-        client.transact_async(handle, f"op{i % 3}", {"x": i},
-                              on_reply=replies.append)
-    sim.set_tie_breaker(make_tie_breaker("random", 42, schedule))
-    sim.run(until=sim.now)
-    assert [r["echo"] for r in replies] == list(range(25))
-    assert [c[1]["x"] for c in calls] == list(range(25))
+    assert _mixed_codes(schedule) == RECORDED["mixed_codes"]
 
 
 def test_transact_async_requires_bound_sim():
@@ -160,7 +159,7 @@ def test_transact_async_requires_bound_sim():
 
 
 def test_transact_async_rejects_closed_process():
-    driver, _, _, client, handle, _ = make_rig(batched=True)
+    driver, _, _, client, handle, _ = make_rig()
     client.close()
     with pytest.raises(BinderError, match="closed"):
         client.transact_async(handle, "ping", {})

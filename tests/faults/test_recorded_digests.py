@@ -31,6 +31,13 @@ FLEET_MISSION_DIGESTS = {
 }
 
 
+#: digest of ``tests/loadgen/test_fleet.py``'s MINI fleet (seed 42, one
+#: drone x 3 tenants).  Recorded while the hot-path optimizations were
+#: still switchable; the run gave this digest with them on and off.
+MINI_FLEET_DIGEST = \
+    "5a6042a036af0237b425e9d006545159b391f20fd4afab11b5c1463a99025d18"
+
+
 def digest(scenario: FleetScenario) -> str:
     result = FleetHarness(scenario).run()
     return hashlib.sha256(result.to_json().encode("utf-8")).hexdigest()
@@ -48,3 +55,8 @@ def test_fleet_mission_matches_recorded_digest(seed):
     scenario = FleetScenario(seed=seed, drones=3, tenants_per_drone=3,
                              chaos_level=0, security_enabled=True)
     assert digest(scenario) == FLEET_MISSION_DIGESTS[seed]
+
+
+def test_mini_fleet_matches_recorded_digest():
+    scenario = FleetScenario(seed=42, drones=1, tenants_per_drone=3)
+    assert digest(scenario) == MINI_FLEET_DIGEST

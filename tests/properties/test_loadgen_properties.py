@@ -4,8 +4,8 @@ Three hot-path behaviors the load harness exercises at scale are pinned
 down here with hypothesis so regressions show up in seconds, not after a
 ten-minute soak:
 
-- the binder handle index returns exactly the handles the linear scan
-  would (the optimized path is a pure speedup);
+- the binder handle index returns exactly the handles a linear scan of
+  the handle table would;
 - enlarging a whitelist never revokes anything (template customization
   is monotone);
 - the VFC geofence filter denies a waypoint iff it is outside the fence.
@@ -33,10 +33,9 @@ lookup_sequences = st.lists(
     min_size=1, max_size=64)
 
 
-def _handles_for(sequence, use_index):
+def _handles_for(sequence):
     """Run one _install_ref call sequence on a fresh driver."""
     driver = BinderDriver(device_container_name="device")
-    driver.use_handle_index = use_index
     ns = NamespaceSet("device")
     server = driver.open(1, euid=1000, container="device",
                         device_ns=ns.device_ns)
@@ -47,18 +46,30 @@ def _handles_for(sequence, use_index):
     return [client._install_ref(nodes[i]) for i in sequence]
 
 
+def _linear_scan_handles(sequence):
+    """The handle sequence a scan of an append-only handle table gives:
+    reuse the handle a node already has, else hand out the next one."""
+    table = []
+    handles = []
+    for node in sequence:
+        if node not in table:
+            table.append(node)
+        handles.append(table.index(node) + 1)
+    return handles
+
+
 class TestBinderHandleIndex:
     @given(lookup_sequences)
     @settings(max_examples=50, deadline=None)
     def test_index_matches_linear_oracle(self, sequence):
-        # The O(1) index must hand out exactly the handle sequence the
-        # pre-index linear scan would — same numbering, same reuse.
-        assert _handles_for(sequence, True) == _handles_for(sequence, False)
+        # The O(1) index must hand out exactly the handle sequence a
+        # linear scan would — same numbering, same reuse.
+        assert _handles_for(sequence) == _linear_scan_handles(sequence)
 
     @given(lookup_sequences)
     @settings(max_examples=50, deadline=None)
     def test_repeat_installs_are_stable(self, sequence):
-        handles = _handles_for(sequence + sequence, True)
+        handles = _handles_for(sequence + sequence)
         first, second = handles[:len(sequence)], handles[len(sequence):]
         assert first == second
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.sched.cli import main
+from tests.sched.planted import reversed_flush
 
 FIXTURE = str(Path(__file__).parent / "fixtures"
               / "binder-burst-legacy-sender-order.json")
@@ -33,10 +34,8 @@ def test_explore_violation_exits_one_and_writes_artifact(
         tmp_path, capsys, monkeypatch):
     from repro.binder.driver import BinderDriver
 
-    monkeypatch.setattr(
-        BinderDriver, "_deliver_legacy_head",
-        lambda self: self._deliver_batch([self._legacy_pending.pop()]))
-    code = main(["explore", "--scenario", "binder-burst-legacy",
+    monkeypatch.setattr(BinderDriver, "_flush_async", reversed_flush)
+    code = main(["explore", "--scenario", "binder-burst",
                  "--schedules", "3", "--out", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
@@ -44,10 +43,8 @@ def test_explore_violation_exits_one_and_writes_artifact(
     artifacts = list(tmp_path.glob("*.json"))
     assert artifacts, "violations must be written to --out"
     artifact = json.loads(artifacts[0].read_text())
-    assert artifact["scenario"] == "binder-burst-legacy"
-    # Pop-tail delivery misorders even under FIFO, so the shrunk
-    # schedule can legitimately be empty; the failure record is the
-    # thing that must survive.
+    assert artifact["scenario"] == "binder-burst"
+    assert artifact["schedule"], "the planted bug needs a non-FIFO schedule"
     assert artifact["failures"]
 
 

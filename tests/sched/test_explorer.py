@@ -12,6 +12,7 @@ from repro.sched import (
 )
 from repro.sched.oracles import run_oracles
 from repro.sched.scenarios import BinderBurstScenario
+from tests.sched.planted import reversed_flush
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +68,16 @@ def test_replay_reproduces_digest_bit_for_bit(burst_explorer):
 
 
 def test_legacy_violation_found_shrunk_and_replayable(tmp_path, monkeypatch):
-    """End to end against a reintroduced bug: the explorer must find the
-    legacy ordering violation, shrink it, and emit a replayable artifact.
+    """End to end against a planted bug: the explorer must find the
+    sender-order violation (the bug class the per-message delivery path
+    once had), shrink it, and emit a replayable artifact.
 
-    The pre-fix behavior is simulated by restoring per-event message
-    capture (delivering the tail of the queue instead of the head).
+    The bug is planted by flushing each async batch in reverse.
     """
     from repro.binder.driver import BinderDriver
 
-    monkeypatch.setattr(
-        BinderDriver, "_deliver_legacy_head",
-        lambda self: self._deliver_batch([self._legacy_pending.pop()]))
-    scenario = make_scenario("binder-burst-legacy")
+    monkeypatch.setattr(BinderDriver, "_flush_async", reversed_flush)
+    scenario = make_scenario("binder-burst")
     explorer = Explorer(scenario, seed=42)
     result = explorer.explore(schedules=5, strategy="random")
     assert result.violations, "the seeded burst must surface the bug"
