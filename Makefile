@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test bench examples results trace chaos parallel soak \
 	city abuse explore docs-check lint lint-deep check gate baselines \
-	profile throughput clean
+	profile clean
 
 TRACE_FILE ?= trace.jsonl
 CHAOS_TRACE ?= chaos-trace.jsonl
@@ -81,10 +81,6 @@ explore: ## hunt schedule races: N seeded same-tick schedules per smoke scenario
 profile: ## cProfile the hot paths into profiles/ (pstats + folded stacks)
 	PYTHONPATH=src $(PYTHON) tools/profile_hotpaths.py --out profiles
 
-throughput: ## run the raw-speed engine benchmark (fast vs legacy-oracle A/B)
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_throughput.py \
-		--benchmark-only -s
-
 docs-check: ## validate every intra-repo markdown link and anchor
 	$(PYTHON) tools/check_doc_links.py
 
@@ -110,15 +106,12 @@ baselines: ## refresh the checked-in perf baselines from a fresh smoke sweep
 		benchmarks/bench_scale.py --benchmark-only
 	PYTHONPATH=src CITY_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_city.py --benchmark-only
-	PYTHONPATH=src THROUGHPUT_SMOKE=1 $(PYTHON) -m pytest \
-		benchmarks/bench_throughput.py --benchmark-only
 	PYTHONPATH=src ABUSE_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_abuse.py --benchmark-only
 	cp benchmarks/results/scale.jsonl \
 		benchmarks/results/scale_hotpaths.jsonl \
 		benchmarks/results/scale_parallel.jsonl \
 		benchmarks/results/city.jsonl \
-		benchmarks/results/throughput.jsonl \
 		benchmarks/results/abuse.jsonl benchmarks/baselines/
 
 clean:

@@ -86,14 +86,6 @@ class AndroidEnvironment:
         self.intents = IntentBus(container_name)
         self.apps: Dict[str, App] = {}
 
-    # -- policy ---------------------------------------------------------------
-    def policy_allows(self, container: str, device: str) -> bool:
-        """Consult the VDC hook; default-allow when no VDC is attached
-        (standalone Android, as in unit tests)."""
-        if self.permission_hook is None:
-            return True
-        return self.permission_hook(container, device)
-
     def retry_am_forwarding(self) -> bool:
         """Re-register the ActivityManager after the device container is up."""
         if self._pending_am_ref is None:

@@ -61,12 +61,11 @@ class PermissionCache:
     drops the affected uids' entries.
 
     Hit/miss bookkeeping uses plain attributes, not obs instruments, so
-    enabling the cache leaves telemetry traces byte-identical.
+    caching leaves telemetry traces byte-identical.
     """
 
     def __init__(self):
         self._entries: Dict[Tuple[str, int, Permission], bool] = {}
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -76,8 +75,6 @@ class PermissionCache:
 
     def lookup(self, container: str, uid: int,
                permission: Permission) -> Optional[bool]:
-        if not self.enabled:
-            return None
         granted = self._entries.get((container, uid, permission))
         if granted is None:
             self.misses += 1
@@ -87,8 +84,7 @@ class PermissionCache:
 
     def store(self, container: str, uid: int, permission: Permission,
               granted: bool) -> None:
-        if self.enabled:
-            self._entries[(container, uid, permission)] = granted
+        self._entries[(container, uid, permission)] = granted
 
     def invalidate_uids(self, container: str, uids: Iterable[int]) -> None:
         """Drop every cached answer for ``uids`` in ``container``."""

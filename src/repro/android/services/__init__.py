@@ -17,7 +17,7 @@ Android permissions (via the calling container's ActivityManager) and
 AnDrone device policy (via the VDC hook).
 """
 
-from repro.android.services.base import SystemService, ServiceAccessDenied
+from repro.android.services.base import SystemService
 from repro.android.services.audio_flinger import AudioFlinger
 from repro.android.services.camera_service import CameraService
 from repro.android.services.location import LocationManagerService
@@ -25,7 +25,6 @@ from repro.android.services.sensor_service import SensorService
 
 __all__ = [
     "SystemService",
-    "ServiceAccessDenied",
     "AudioFlinger",
     "CameraService",
     "LocationManagerService",

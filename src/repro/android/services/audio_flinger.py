@@ -37,7 +37,7 @@ class AudioFlinger(SystemService):
         duration = float(txn.data.get("duration_s", 1.0))
         self.attach_client(txn)
         clip = self._microphone.record(self._mic_handle, duration)
-        return {"status": "ok", "clip": self._payload(clip)}
+        return {"status": "ok", "clip": clip.to_dict()}
 
     def op_play(self, txn: Transaction):
         from repro.devices.audio import AudioClip

@@ -17,7 +17,6 @@ Access control happens per call, in two stages (Sections 4.2 and 4.4):
 from __future__ import annotations
 
 import time
-from dataclasses import asdict
 from typing import Callable, Optional, Set, Tuple
 
 import repro.obs as obs
@@ -26,10 +25,6 @@ from repro.binder.driver import TransientBinderError
 from repro.binder.objects import Transaction
 from repro.faults.policies import RetriesExhausted, RetryPolicy, retry_call
 from repro.obs.metrics import NULL_HISTOGRAM
-
-
-class ServiceAccessDenied(PermissionError):
-    """A service call failed its permission or policy check."""
 
 
 #: Backoff for the cross-container permission lookup (a binder round trip
@@ -60,13 +55,9 @@ class SystemService:
         #: ``transient`` error reply (see repro.faults).  None in
         #: production.
         self.fault_hook: Optional[Callable[[Transaction], Optional[str]]] = None
-        #: Fast dispatch (memoized op_<code> lookup, interned call
-        #: counters, deepcopy-free reply payloads).  False routes every
-        #: call through the original getattr/asdict path — the oracle the
-        #: service-dispatch equivalence tests and throughput benchmarks
-        #: A/B against.
-        self.use_fast_ops = True
-        self._call_counters = obs.InstrumentCache()
+        #: per-code dispatch lanes: (op attribute name, served-call
+        #: counter, call-latency histogram), interned per registry.
+        self._lanes = obs.InstrumentCache()
 
     # -- lifecycle ------------------------------------------------------------
     def start(self, device_bus) -> None:
@@ -76,193 +67,100 @@ class SystemService:
         """Release devices."""
 
     # -- dispatch ----------------------------------------------------------------
-    def _call_counter(self, code: str, outcome: str):
-        """The ``android.service.calls`` counter for one (code, outcome),
-        memoized when fast dispatch is on (self.name never changes)."""
-        if not self.use_fast_ops:
-            return obs.counter("android.service.calls", service=self.name,
-                               code=code, outcome=outcome)
-        key = (code, outcome)
-        counter = self._call_counters.get(key)
-        if counter is None:
-            counter = self._call_counters.put(key, obs.counter(
-                "android.service.calls", service=self.name,
-                code=code, outcome=outcome))
-        return counter
-
-    def _op_method(self, code: str):
-        # Always a live getattr — never a memoized bound method — so
-        # instance-level op overrides take effect on the next call.
-        return getattr(self, f"op_{code}", None)
-
-    def _payload(self, obj) -> dict:
-        """Flat-dataclass reply payload; ``asdict`` is the legacy oracle
-        (identical output, plus a deepcopy per field)."""
-        if self.use_fast_ops:
-            return obj.to_dict()
-        return asdict(obj)
-
     def handle_txn(self, txn: Transaction):
-        if self.use_fast_ops and self.fault_hook is None:
-            # Fast lane: one memo lookup yields the op method plus both
-            # served-path instruments; miss only on first call per code
-            # or after a registry swap.
-            code = txn.code
-            lane = self._call_counters.get(code)
-            if lane is None:
-                if getattr(self, f"op_{code}", None) is None:
-                    return {"error": f"{self.name}: unknown code {code!r}"}
-                lane = self._call_counters.put(code, (
-                    f"op_{code}",
-                    obs.counter("android.service.calls", service=self.name,
-                                code=code, outcome="served"),
-                    obs.histogram("android.service.call_us", unit="us-wall",
-                                  service=self.name),
-                ))
-            op_name, served, histo = lane
-            # The attribute name is memoized, not the bound method —
-            # instance-level op overrides (fault tests, compromised-
-            # service scenarios) must keep taking effect.
-            method = getattr(self, op_name, None)
-            if method is None:
+        # One memo lookup yields the op name plus both served-path
+        # instruments; miss only on first call per code or after a
+        # registry swap.
+        code = txn.code
+        lane = self._lanes.get(code)
+        if lane is None:
+            if getattr(self, f"op_{code}", None) is None:
                 return {"error": f"{self.name}: unknown code {code!r}"}
-            # check_access() inlined (no service overrides it): android
-            # permission first, device policy second, short-circuiting
-            # exactly like the reference path — a denied android check
-            # never consults (or counts a query against) the VDC policy.
-            denied_msg = None
-            perm = self.required_permission
-            if perm is not None:
-                # _android_permission_granted() inlined: root passes,
-                # same-container asks our AM, cross-container hits the
-                # memoized grant table (miss → binder round trip).
-                if txn.calling_euid == 0:
-                    granted = True
-                elif txn.calling_container == self.env.container_name:
-                    granted = self.env.activity_manager.check_permission(
-                        perm, txn.calling_euid)
-                else:
-                    # PermissionCache.lookup() inlined (same package);
-                    # hit/miss bookkeeping matches the reference path.
-                    cache = self.env.permission_cache
-                    granted = None
-                    if cache is not None and cache.enabled:
-                        granted = cache._entries.get(
-                            (txn.calling_container, txn.calling_euid, perm))
-                        if granted is None:
-                            cache.misses += 1
-                        else:
-                            cache.hits += 1
-                    if granted is None:
-                        granted = self._remote_permission_check(txn)
-            else:
-                granted = True
-            if not granted:
-                denied_msg = (
-                    f"{self.name}: {txn.calling_container or 'host'}/uid "
-                    f"{txn.calling_euid} lacks {perm}")
-            elif self.androne_device:
-                hook = self.env.permission_hook
-                if hook is not None and not hook(txn.calling_container,
-                                                self.androne_device):
-                    denied_msg = (
-                        f"{self.name}: VDC denies {self.androne_device!r} "
-                        f"for container {txn.calling_container!r}")
-            if denied_msg is not None:
-                self.denied_calls += 1
+            lane = self._lanes.put(code, (
+                f"op_{code}",
                 obs.counter("android.service.calls", service=self.name,
-                            code=code, outcome="denied").inc()
-                return {"error": denied_msg, "denied": True}
-            self.served_calls += 1
-            served.inc()
-            # Telemetry off: ``histo`` is the shared null histogram, so
-            # there is no latency to time.
-            if histo is NULL_HISTOGRAM:
-                return method(txn)
-            # Call latency is wall-clock (the handler runs synchronously,
-            # so no sim time passes); the one deliberately
-            # nondeterministic metric — see docs/METRICS.md.
-            start_ns = time.perf_counter_ns()  # repro-lint: disable=sim-clock
-            try:
-                return method(txn)
-            finally:
-                histo.observe(
-                    (time.perf_counter_ns() - start_ns) / 1000.0)  # repro-lint: disable=sim-clock
-        return self._handle_txn_ref(txn)
-
-    def _handle_txn_ref(self, txn: Transaction):
-        """The reference dispatch path: per-call getattr + uncached
-        instrument lookups.  Runs when ``use_fast_ops`` is off (the
-        oracle for the fast-lane equivalence tests and throughput A/B)
-        and whenever a fault hook is installed."""
-        method = self._op_method(txn.code)
+                            code=code, outcome="served"),
+                obs.histogram("android.service.call_us", unit="us-wall",
+                              service=self.name),
+            ))
+        op_name, served, histo = lane
+        # The attribute name is memoized, not the bound method —
+        # instance-level op overrides (fault tests, compromised-service
+        # scenarios) must keep taking effect.
+        method = getattr(self, op_name, None)
         if method is None:
-            return {"error": f"{self.name}: unknown code {txn.code!r}"}
+            return {"error": f"{self.name}: unknown code {code!r}"}
         if self.fault_hook is not None:
             failure = self.fault_hook(txn)
             if failure is not None:
-                self._call_counter(txn.code, "fault").inc()
+                obs.counter("android.service.calls", service=self.name,
+                            code=code, outcome="fault").inc()
                 return {"error": failure, "transient": True}
-        try:
-            self.check_access(txn)
-        except ServiceAccessDenied as denied:
+        # Access control: android permission first, device policy
+        # second; a denied android check never consults (or counts a
+        # query against) the VDC policy.
+        denied_msg = None
+        perm = self.required_permission
+        if perm is not None:
+            if txn.calling_euid == 0:
+                # Root callers (the flight container's HAL bridge, the
+                # VDC) pass the Android check, exactly as in Android's
+                # checkPermission(); AnDrone policy still applies.
+                granted = True
+            elif txn.calling_container == self.env.container_name:
+                # A call from inside the device container: our own AM.
+                granted = self.env.activity_manager.check_permission(
+                    perm, txn.calling_euid)
+            else:
+                # Modified checkPermission(): ask the *calling*
+                # container's AM.  Its answer only changes when that
+                # AM's grant table changes, which fires explicit
+                # invalidation, so a cached answer skips the whole
+                # binder round trip (see docs/SCALING.md).
+                cache = self.env.permission_cache
+                granted = None
+                if cache is not None:
+                    granted = cache.lookup(txn.calling_container,
+                                           txn.calling_euid, perm)
+                if granted is None:
+                    granted = self._remote_permission_check(txn)
+        else:
+            granted = True
+        if not granted:
+            denied_msg = (
+                f"{self.name}: {txn.calling_container or 'host'}/uid "
+                f"{txn.calling_euid} lacks {perm}")
+        elif self.androne_device:
+            # The per-call AnDrone device policy; no hook (standalone
+            # Android, as in unit tests) allows.
+            hook = self.env.permission_hook
+            if hook is not None and not hook(txn.calling_container,
+                                            self.androne_device):
+                denied_msg = (
+                    f"{self.name}: VDC denies {self.androne_device!r} "
+                    f"for container {txn.calling_container!r}")
+        if denied_msg is not None:
             self.denied_calls += 1
-            self._call_counter(txn.code, "denied").inc()
-            return {"error": str(denied), "denied": True}
+            obs.counter("android.service.calls", service=self.name,
+                        code=code, outcome="denied").inc()
+            return {"error": denied_msg, "denied": True}
         self.served_calls += 1
-        self._call_counter(txn.code, "served").inc()
-        if not obs.enabled():
+        served.inc()
+        # Telemetry off: ``histo`` is the shared null histogram, so
+        # there is no latency to time.
+        if histo is NULL_HISTOGRAM:
             return method(txn)
-        # Wall-clock call latency, as above.
+        # Call latency is wall-clock (the handler runs synchronously, so
+        # no sim time passes); the one deliberately nondeterministic
+        # metric — see docs/METRICS.md.
         start_ns = time.perf_counter_ns()  # repro-lint: disable=sim-clock
         try:
             return method(txn)
         finally:
-            obs.histogram("android.service.call_us", unit="us-wall",
-                          service=self.name).observe(
+            histo.observe(
                 (time.perf_counter_ns() - start_ns) / 1000.0)  # repro-lint: disable=sim-clock
 
     # -- access control -------------------------------------------------------------
-    def check_access(self, txn: Transaction) -> None:
-        if self.required_permission is not None:
-            if not self._android_permission_granted(txn):
-                raise ServiceAccessDenied(
-                    f"{self.name}: {txn.calling_container or 'host'}/uid "
-                    f"{txn.calling_euid} lacks {self.required_permission}"
-                )
-        if self.androne_device and not self.env.policy_allows(
-            txn.calling_container, self.androne_device
-        ):
-            raise ServiceAccessDenied(
-                f"{self.name}: VDC denies {self.androne_device!r} for "
-                f"container {txn.calling_container!r}"
-            )
-
-    def _android_permission_granted(self, txn: Transaction) -> bool:
-        if txn.calling_euid == 0:
-            # Root callers (the flight container's HAL bridge, the VDC)
-            # pass the Android check, exactly as in Android's
-            # checkPermission(); AnDrone policy still applies.
-            return True
-        if txn.calling_container == self.env.container_name:
-            # A call from inside the device container: use our own AM.
-            return self.env.activity_manager.check_permission(
-                self.required_permission, txn.calling_euid
-            )
-        # Modified checkPermission(): find the *calling* container's AM by
-        # the scoped name PUBLISH_TO_DEV_CON registered.  The answer only
-        # changes when that AM's grant table changes, which fires explicit
-        # invalidation — so a memoized answer short-circuits the whole
-        # binder round trip (the saturated hot path under service-call
-        # storms; see docs/SCALING.md).
-        cache = self.env.permission_cache
-        if cache is not None:
-            cached = cache.lookup(txn.calling_container, txn.calling_euid,
-                                  self.required_permission)
-            if cached is not None:
-                return cached
-        return self._remote_permission_check(txn)
-
     def _remote_permission_check(self, txn: Transaction) -> bool:
         """The cross-container binder round trip (cache already missed)."""
         cache = self.env.permission_cache

@@ -57,7 +57,7 @@ class CameraService(SystemService):
 
     def op_capture(self, txn: Transaction):
         frame = self._camera.capture(self._handle)
-        return {"status": "ok", "frame": self._payload(frame)}
+        return {"status": "ok", "frame": frame.to_dict()}
 
     def op_start_video(self, txn: Transaction):
         if self._recorder is not None:
@@ -73,7 +73,7 @@ class CameraService(SystemService):
             return {"error": "not recording"}
         segment = self._camera.stop_recording(self._handle)
         self._recorder = None
-        return {"status": "ok", "segment": self._payload(segment)}
+        return {"status": "ok", "segment": segment.to_dict()}
 
     def op_point_gimbal(self, txn: Transaction):
         if self._gimbal is None:

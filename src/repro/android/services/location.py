@@ -38,7 +38,7 @@ class LocationManagerService(SystemService):
     def op_get_location(self, txn: Transaction):
         self.attach_client(txn)
         fix = self._gps.read_fix(self._handle)
-        return {"status": "ok", "fix": self._payload(fix)}
+        return {"status": "ok", "fix": fix.to_dict()}
 
     # The native (NDK-bridge) entry point used by the flight container's
     # HAL; identical data, but kept as a distinct code so the flight
@@ -46,4 +46,4 @@ class LocationManagerService(SystemService):
     def op_native_get_location(self, txn: Transaction):
         self.attach_client(txn)
         fix = self._gps.read_fix(self._handle)
-        return {"status": "ok", "fix": self._payload(fix)}
+        return {"status": "ok", "fix": fix.to_dict()}

@@ -45,7 +45,7 @@ class SensorService(SystemService):
         handle = self._handles[sensor]
         if sensor == "imu":
             reading = device.read(handle)
-            return {"status": "ok", "reading": self._payload(reading)}
+            return {"status": "ok", "reading": reading.to_dict()}
         if sensor == "barometer":
             return {
                 "status": "ok",

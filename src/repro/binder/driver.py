@@ -97,26 +97,9 @@ class BinderProcess:
 
     def _install_ref(self, node: BinderNode) -> int:
         """Translate a node into a handle in this process's table."""
-        if self.driver.use_handle_index:
-            handle = self._handle_index.get(node.node_id)
-            if handle is not None:
-                return handle
-            handle = next(self._next_handle)
-            self._handles[handle] = node
-            self._handle_index[node.node_id] = handle
+        handle = self._handle_index.get(node.node_id)
+        if handle is not None:
             return handle
-        return self._install_ref_linear(node)
-
-    def _install_ref_linear(self, node: BinderNode) -> int:
-        """The pre-index reference path: scan the whole handle table.
-
-        Kept (behind ``driver.use_handle_index = False``) as the oracle for
-        the route-index equivalence property test; the index is maintained
-        even here so the flag can be toggled mid-run.
-        """
-        for handle, existing in self._handles.items():
-            if existing is node:
-                return handle
         handle = next(self._next_handle)
         self._handles[handle] = node
         self._handle_index[node.node_id] = handle
@@ -167,8 +150,6 @@ class BinderProcess:
                 raise failure
         if driver.rate_guard is not None:
             driver.rate_guard.admit(self.container or "host")
-        if not driver.use_fast_path:
-            return self._transact_legacy(node, code, data)
         counter = self._txn_counters.get(node)
         if counter is None:
             counter = self._txn_counters.put(node, obs.counter(
@@ -204,42 +185,6 @@ class BinderProcess:
                     break
             else:
                 return reply
-            translated = {}
-            for key, value in reply.items():
-                if isinstance(value, NodeRef):
-                    translated[key] = self._install_ref(value.node)
-                else:
-                    translated[key] = value
-            return translated
-        return reply
-
-    def _transact_legacy(self, node: BinderNode, code: str,
-                         data: Optional[Dict[str, Any]]) -> Any:
-        """The pre-fast-path transaction body: per-item payload rebuild,
-        uncached counter lookup, unconditional reply translation.  Kept
-        (behind ``driver.use_fast_path = False``) as the oracle the
-        fast-path equivalence tests and throughput A/B benchmarks compare
-        against — the same pattern as :meth:`_install_ref_linear`.
-        """
-        obs.counter("binder.transactions",
-                    service=node.label or "anonymous",
-                    ns=self.device_ns.label or str(self.device_ns.ns_id),
-                    container=self.container or "host").inc()
-        delivered: Dict[str, Any] = {}
-        for key, value in (data or {}).items():
-            if isinstance(value, NodeRef):
-                delivered[key] = node.owner._install_ref(value.node)
-            else:
-                delivered[key] = value
-        txn = Transaction(
-            code=code,
-            data=delivered,
-            calling_pid=self.pid,
-            calling_euid=self.euid,
-            calling_container=self.container,
-        )
-        reply = node.handler(txn)
-        if isinstance(reply, dict):
             translated = {}
             for key, value in reply.items():
                 if isinstance(value, NodeRef):
@@ -330,25 +275,12 @@ class BinderDriver:
         #: disabled-path contract as ``fault_hook``.  Platform containers
         #: are exempt via the guard's own exempt set.
         self.rate_guard = None
-        #: O(1) handle installation via the per-process reverse index.
-        #: False falls back to the original linear handle-table scan —
-        #: kept for A/B benchmarks and the equivalence property test.
-        self.use_handle_index: bool = True
-        #: Fast transaction body (interned counters, copy-based payload
-        #: delivery, ref-free reply passthrough).  False routes through
-        #: the original per-item body — the behavioral oracle for the
-        #: fast-path equivalence tests and throughput benchmarks.
-        self.use_fast_path: bool = True
         #: Batched async delivery (``transact_async``): the simulator the
         #: flush event is scheduled on, the queued messages, and the
         #: pending flush event (at most one per tick).
         self._sim = None
         self._async_pending: list = []
         self._async_flush_event = None
-        #: Legacy-path (use_fast_path=False) submission queue.  Delivery
-        #: events pop the *head*, so replies keep per-sender submission
-        #: order no matter how same-tick delivery events are interleaved.
-        self._legacy_pending: list = []
 
     def open(self, pid: int, euid: int, container: str, device_ns: Namespace) -> BinderProcess:
         proc = BinderProcess(self, pid, euid, container, device_ns)
@@ -366,21 +298,6 @@ class BinderDriver:
         if self._sim is None:
             raise BinderError(
                 "transact_async needs bind_sim(sim) on the driver first")
-        if not self.use_fast_path:
-            # The pre-batching oracle: one simulator delivery event per
-            # message, but the *message* each event delivers is the head
-            # of a FIFO submission queue rather than a value captured in
-            # the event's closure.  Delivery order therefore equals
-            # submission order under any same-tick schedule — capturing
-            # the message per event let explored tie-breaks reorder one
-            # sender's replies (the shrunk schedule lives in
-            # tests/sched/fixtures/binder-burst-legacy-sender-order.json).
-            # Per-message metrics are unchanged: each event is a batch
-            # of one.
-            self._legacy_pending.append((proc, handle, code, data, on_reply))
-            self._sim.call_soon(self._deliver_legacy_head,
-                                key="binder.deliver")
-            return
         self._async_pending.append((proc, handle, code, data, on_reply))
         if self._async_flush_event is None:
             self._async_flush_event = self._sim.call_soon(
@@ -390,13 +307,6 @@ class BinderDriver:
         """Deliver every queued async transaction in one simulator event."""
         self._async_flush_event = None
         batch, self._async_pending = self._async_pending, []
-        self._deliver_batch(batch)
-
-    def _deliver_legacy_head(self) -> None:
-        """Deliver the oldest queued legacy-path message (a batch of one)."""
-        self._deliver_batch([self._legacy_pending.pop(0)])
-
-    def _deliver_batch(self, batch) -> None:
         obs.counter("binder.async_batches").inc()
         obs.histogram("binder.async_batch_size", unit="msgs").observe(
             len(batch))
@@ -417,7 +327,7 @@ class BinderDriver:
 
     def async_pending(self) -> int:
         """Messages queued but not yet delivered (introspection)."""
-        return len(self._async_pending) + len(self._legacy_pending)
+        return len(self._async_pending)
 
     def _new_node(self, owner: BinderProcess, handler: Callable, label: str) -> BinderNode:
         return BinderNode(next(self._node_ids), owner, handler, label)

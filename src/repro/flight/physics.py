@@ -75,11 +75,8 @@ class QuadcopterPhysics:
         #: Memoize snapshot() between steps.  Sensors on the same tick all
         #: sample identical ground truth, so the geodetic conversion and
         #: snapshot construction run once per step instead of once per
-        #: sensor read.  False rebuilds every call — the oracle the
-        #: equivalence tests and throughput benchmarks A/B against.
-        #: Direct state pokes (tests) must be followed by step() before
-        #: the cached view refreshes.
-        self.cache_snapshots = True
+        #: sensor read.  Direct state pokes (tests) must be followed by
+        #: step() before the cached view refreshes.
         self._state_version = 0
         self._snapshot_cache: Optional[DroneStateSnapshot] = None
         self._snapshot_version = -1
@@ -92,7 +89,7 @@ class QuadcopterPhysics:
 
     def snapshot(self) -> DroneStateSnapshot:
         """The ground truth that sensors sample."""
-        if self.cache_snapshots and self._snapshot_version == self._state_version:
+        if self._snapshot_version == self._state_version:
             return self._snapshot_cache
         geo = self.geoposition()
         snap = DroneStateSnapshot(
@@ -109,9 +106,8 @@ class QuadcopterPhysics:
             angular_rates=tuple(self.rates),
             on_ground=self.on_ground,
         )
-        if self.cache_snapshots:
-            self._snapshot_cache = snap
-            self._snapshot_version = self._state_version
+        self._snapshot_cache = snap
+        self._snapshot_version = self._state_version
         return snap
 
     def total_thrust(self) -> float:

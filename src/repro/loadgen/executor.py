@@ -109,7 +109,7 @@ def _dump_instruments(registry: TelemetryRegistry) -> List[dict]:
 
 
 def run_shard(scenario_json: str, indices: Sequence[int],
-              optimized: bool = True, trace: bool = False) -> ShardOutcome:
+              trace: bool = False) -> ShardOutcome:
     """Run one shard of a scenario in *this* process.
 
     The executor calls this in worker processes; it is equally usable
@@ -120,8 +120,7 @@ def run_shard(scenario_json: str, indices: Sequence[int],
     obs.reset()
     scenario = FleetScenario.from_json(scenario_json)
     start = time.perf_counter()
-    harness = FleetHarness(scenario, optimized=optimized,
-                           drone_indices=list(indices))
+    harness = FleetHarness(scenario, drone_indices=list(indices))
     if trace:
         obs.enable(harness.system.sim)
     try:
@@ -147,10 +146,10 @@ def run_shard(scenario_json: str, indices: Sequence[int],
     )
 
 
-def _run_shard_job(payload: Tuple[str, Tuple[int, ...], bool, bool]
+def _run_shard_job(payload: Tuple[str, Tuple[int, ...], bool]
                    ) -> ShardOutcome:
-    scenario_json, indices, optimized, trace = payload
-    return run_shard(scenario_json, indices, optimized=optimized, trace=trace)
+    scenario_json, indices, trace = payload
+    return run_shard(scenario_json, indices, trace=trace)
 
 
 # --------------------------------------------------------------------------- merge
@@ -274,10 +273,9 @@ class ParallelFleetExecutor:
     """
 
     def __init__(self, scenario: FleetScenario, workers: Optional[int] = None,
-                 optimized: bool = True, trace: Optional[bool] = None,
+                 trace: Optional[bool] = None,
                  start_method: Optional[str] = None):
         self.scenario = scenario
-        self.optimized = optimized
         #: default: record traces iff the calling process is tracing.
         self.trace = obs.enabled() if trace is None else trace
         self.workers = workers if workers is not None else min(
@@ -292,9 +290,9 @@ class ParallelFleetExecutor:
         self.run_wall_s = 0.0
 
     # -- execution --------------------------------------------------------------
-    def _payloads(self) -> List[Tuple[str, Tuple[int, ...], bool, bool]]:
+    def _payloads(self) -> List[Tuple[str, Tuple[int, ...], bool]]:
         scenario_json = self.scenario.to_json()
-        return [(scenario_json, (index,), self.optimized, self.trace)
+        return [(scenario_json, (index,), self.trace)
                 for index in range(self.scenario.drones)]
 
     def run(self) -> FleetResult:
@@ -338,8 +336,7 @@ class ParallelFleetExecutor:
 
 
 def run_parallel(scenario: FleetScenario, workers: Optional[int] = None,
-                 optimized: bool = True,
                  trace: Optional[bool] = None) -> FleetResult:
     """Convenience one-shot parallel run (see ParallelFleetExecutor)."""
     return ParallelFleetExecutor(
-        scenario, workers=workers, optimized=optimized, trace=trace).run()
+        scenario, workers=workers, trace=trace).run()

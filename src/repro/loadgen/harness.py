@@ -13,12 +13,6 @@ fleet throughout.
 Everything runs on the sim clock from the scenario's seed: the same
 scenario produces byte-identical telemetry traces, run after run (the
 golden-trace regression test holds the repo to that).
-
-``optimized=False`` switches every hot-path optimization off — linear
-binder handle lookup, uncached permission checks, per-tenant telemetry
-timers, the binder fast path, uncached service dispatch (getattr +
-asdict), and per-call physics snapshots — so benchmarks and
-equivalence tests can A/B them.
 """
 
 from __future__ import annotations
@@ -178,10 +172,9 @@ class FleetHarness:
     :mod:`repro.loadgen.executor`).  Default: every drone.
     """
 
-    def __init__(self, scenario: FleetScenario, optimized: bool = True,
+    def __init__(self, scenario: FleetScenario,
                  drone_indices: Optional[List[int]] = None):
         self.scenario = scenario
-        self.optimized = optimized
         if drone_indices is None:
             self.drone_indices = list(range(scenario.drones))
         else:
@@ -289,13 +282,6 @@ class FleetHarness:
         node = system.add_drone(seed=drone_index + 1,
                                 drone_type=scenario.drone_type,
                                 sitl_rate_hz=scenario.sitl_rate_hz)
-        if not self.optimized:
-            node.driver.use_handle_index = False
-            node.driver.use_fast_path = False
-            node.device_env.permission_cache = None
-            for service in node.device_env.system_server.services.values():
-                service.use_fast_ops = False
-            node.sitl.physics.cache_snapshots = False
         if scenario.chaos_level >= 2:
             node.vdc.enable_supervision(heartbeat_interval_s=0.5)
         if self.fabric is not None:
@@ -382,8 +368,7 @@ class FleetHarness:
         installers = workloads.build_installers(scenario, self._attach_frontend)
         if "binder-flood" in scenario.attack_mix:
             installers[abuse.FLOOD_PACKAGE] = abuse.flood_installer(scenario)
-        fanout = TelemetryFanout(system.sim, node.proxy) \
-            if self.optimized else None
+        fanout = TelemetryFanout(system.sim, node.proxy)
         for order in orders:
             tenant = order.definition.name
             vdrone = node.start_virtual_drone(
@@ -400,8 +385,7 @@ class FleetHarness:
                                link=wifi(),
                                session=session.endpoint_for("vfc")
                                if session is not None else None)
-            if fanout is not None:
-                fanout.add_server(server)
+            fanout.add_server(server)
             server.start()
             self.servers[tenant] = server
             self.stations[tenant] = GroundStation(
@@ -409,10 +393,9 @@ class FleetHarness:
                 f"vfc:{tenant}:5760", link=wifi(),
                 session=session.endpoint_for("gcs")
                 if session is not None else None)
-        if fanout is not None:
-            fanout.start()
-            self.fanouts.append(fanout)
-            slot.fanout = fanout
+        fanout.start()
+        self.fanouts.append(fanout)
+        slot.fanout = fanout
 
         # Network-level attackers pick the drone's first honest tenant.
         victims = [t for t in slot.tenants
@@ -546,8 +529,7 @@ class FleetHarness:
         built (sharded run, :mod:`repro.loadgen.executor`)."""
         if slot.final_counts is not None:
             return
-        if slot.fanout is not None:
-            slot.fanout.stop()
+        slot.fanout.stop()
         counts: Dict[str, Dict] = {}
         for tenant in slot.tenants:
             self.servers[tenant].stop()
@@ -641,6 +623,6 @@ class FleetHarness:
         )
 
 
-def run_scenario(scenario: FleetScenario, optimized: bool = True) -> FleetResult:
+def run_scenario(scenario: FleetScenario) -> FleetResult:
     """Convenience one-shot: build a harness, run it, return the result."""
-    return FleetHarness(scenario, optimized=optimized).run()
+    return FleetHarness(scenario).run()

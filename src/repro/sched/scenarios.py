@@ -16,9 +16,8 @@ invariant oracles instead.
 The registry (``SCENARIOS``/:func:`make_scenario`) is what the
 ``repro.sched`` CLI and ``make explore`` enumerate:
 
-* ``binder-burst`` / ``binder-burst-legacy`` — concurrent async binder
-  senders over the batched flush (resp. the per-message oracle path);
-  the rig that surfaced the PR 8 flush-ordering fix.
+* ``binder-burst`` — concurrent async binder senders over the batched
+  flush; the rig behind the sender-order regression fixture.
 * ``storm-smoke`` — one-drone/one-tenant device-service call storm
   through the full onboard stack (fleet harness + invariant monitor).
 * ``city-smoke`` — a small sharded control-plane run (placement,
@@ -111,11 +110,9 @@ class BinderBurstScenario(ExplorationScenario):
     #: so the run exercises cross-tick batches, not one giant tick.
     STAGGER_EVERY = 3
 
-    def __init__(self, senders: int = 3, messages: int = 6,
-                 batched: bool = True):
+    def __init__(self, senders: int = 3, messages: int = 6):
         self.senders = senders
         self.messages = messages
-        self.batched = batched
 
     def _execute(self, tie_breaker) -> RunOutcome:
         from repro.binder import BinderDriver, ServiceManager
@@ -124,7 +121,6 @@ class BinderBurstScenario(ExplorationScenario):
 
         sim = Simulator()
         driver = BinderDriver(device_container_name="device")
-        driver.use_fast_path = self.batched
         driver.bind_sim(sim)
         ns = NamespaceSet("vd1")
         server = driver.open(100, 1000, "vd1", ns.device_ns)
@@ -175,17 +171,6 @@ class BinderBurstScenario(ExplorationScenario):
         }
         return RunOutcome(scenario=self.name, digest=digest_of(final),
                           final=final, executed=executed)
-
-
-class BinderBurstLegacyScenario(BinderBurstScenario):
-    """The same burst on the per-message (pre-batching) oracle path —
-    the A/B side every batched-flush equivalence proof leans on."""
-
-    name = "binder-burst-legacy"
-    title = "async binder senders vs the per-message oracle path"
-
-    def __init__(self, senders: int = 3, messages: int = 6):
-        super().__init__(senders=senders, messages=messages, batched=False)
 
 
 class StormSmokeScenario(ExplorationScenario):
@@ -329,7 +314,6 @@ class Fig10SmokeScenario(ExplorationScenario):
 #: Name -> scenario class, what the CLI / make explore enumerate.
 SCENARIOS = {
     BinderBurstScenario.name: BinderBurstScenario,
-    BinderBurstLegacyScenario.name: BinderBurstLegacyScenario,
     StormSmokeScenario.name: StormSmokeScenario,
     CitySmokeScenario.name: CitySmokeScenario,
     Fig10SmokeScenario.name: Fig10SmokeScenario,

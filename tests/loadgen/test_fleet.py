@@ -2,8 +2,9 @@
 
 The full-size soaks live behind the ``soak`` marker (``make soak`` /
 ``-m soak``); the tests here keep a mini-fleet in the tier-1 run so the
-harness itself — invariants, stats, optimization equivalence, permission
-cache invalidation — is exercised on every push.
+harness itself — invariants, stats, permission cache invalidation — is
+exercised on every push.  The mini fleet's full result is pinned by a
+recorded digest in tests/faults/test_recorded_digests.py.
 """
 
 import pytest
@@ -17,28 +18,21 @@ MINI = FleetScenario(seed=42, drones=1, tenants_per_drone=3)
 
 
 @pytest.fixture(scope="module")
-def mini_results():
-    """The same mini fleet once with and once without the hot-path
-    optimizations (binder handle index, permission cache, telemetry
-    fanout batching)."""
-    return (run_scenario(MINI, optimized=True),
-            run_scenario(MINI, optimized=False))
+def result():
+    return run_scenario(MINI)
 
 
 class TestMiniFleet:
-    def test_all_tenants_complete(self, mini_results):
-        result, _ = mini_results
+    def test_all_tenants_complete(self, result):
         assert sorted(result.completed) == sorted(result.tenants)
         assert not result.interrupted
 
-    def test_invariants_checked_and_clean(self, mini_results):
-        result, _ = mini_results
+    def test_invariants_checked_and_clean(self, result):
         assert result.invariant_checks > 0
         assert result.violations == []
         result.assert_clean()
 
-    def test_stats_populated(self, mini_results):
-        result, _ = mini_results
+    def test_stats_populated(self, result):
         for stats in result.tenants.values():
             assert stats.completed
             assert stats.waypoints_completed >= 1
@@ -47,27 +41,11 @@ class TestMiniFleet:
             assert stats.time_used_s > 0
             assert stats.energy_used_j > 0
 
-    def test_result_round_trips_to_json(self, mini_results):
-        result, _ = mini_results
+    def test_result_round_trips_to_json(self, result):
         data = result.to_dict()
         assert data["scenario"]["seed"] == MINI.seed
         assert set(data["tenants"]) == set(result.tenants)
         assert isinstance(result.to_json(), str)
-
-    def test_optimizations_do_not_change_behavior(self, mini_results):
-        """The binder index, permission cache and fanout batching are
-        pure speedups: the observable outcome of the fleet must be
-        identical with and without them."""
-        opt, base = mini_results
-        assert sorted(opt.completed) == sorted(base.completed)
-        assert opt.waypoints_serviced == base.waypoints_serviced
-        assert opt.duration_s == base.duration_s
-        for tenant in opt.tenants:
-            a, b = opt.tenants[tenant], base.tenants[tenant]
-            assert a.waypoints_completed == b.waypoints_completed
-            assert a.heartbeats == b.heartbeats
-            assert a.positions == b.positions
-            assert a.files_delivered == b.files_delivered
 
 
 class TestChaosFleet:

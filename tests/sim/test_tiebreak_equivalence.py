@@ -91,8 +91,8 @@ def test_removing_tiebreaker_returns_inflight_events_to_heap():
     assert trace == ["a", "b", "c"]
 
 
-@pytest.mark.parametrize("name", ["binder-burst", "binder-burst-legacy",
-                                  "city-smoke", "fig10-smoke"])
+@pytest.mark.parametrize("name", ["binder-burst", "city-smoke",
+                                  "fig10-smoke"])
 def test_scenario_digest_identical_default_vs_fifo(name):
     scenario = make_scenario(name)
     default_outcome = scenario.run(None)

@@ -19,7 +19,7 @@ scalar flight integrator — then renders:
 
 The per-PR optimization workflow (see docs/PERFORMANCE.md): profile,
 attack the top row, prove behavior-neutrality with the golden trace and
-the equivalence tests, re-run ``benchmarks/bench_throughput.py``, and
+the recorded fixtures, measure end to end with ``perfbench/run.py``, and
 record the before/after in the optimization ledger.
 
 Usage::
