@@ -72,9 +72,8 @@ abuse: ## run the full DoS storm against the security fabric, then check the tra
 		--require sec. --require abuse. --require loadgen. \
 		--require vdc.
 
-explore: ## hunt schedule races: N seeded same-tick schedules per smoke scenario
+explore: ## hunt schedule races: N seeded same-tick schedules per registered scenario
 	PYTHONPATH=src $(PYTHON) -m repro.sched explore \
-		--scenario storm-smoke --scenario city-smoke \
 		--schedules $(EXPLORE_SCHEDULES) --seed $(EXPLORE_SEED) \
 		--out $(EXPLORE_OUT)
 

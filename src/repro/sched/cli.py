@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scenario", action="append", dest="scenarios",
         choices=sorted(SCENARIOS), metavar="NAME",
         help=f"scenario to explore (repeatable; one of {sorted(SCENARIOS)};"
-             " default: storm-smoke and city-smoke)")
+             " default: all of them)")
     explore.add_argument("--schedules", type=int, default=25,
                          help="schedules per scenario (default 25)")
     explore.add_argument("--seed", type=int, default=42,
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_explore(args) -> int:
-    names = args.scenarios or ["storm-smoke", "city-smoke"]
+    names = args.scenarios or sorted(SCENARIOS)
     exit_code = 0
     for name in names:
         scenario = make_scenario(name)

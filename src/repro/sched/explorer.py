@@ -133,57 +133,24 @@ class Explorer:
         result = ExplorationResult(
             scenario=self.scenario.name, seed=self.seed,
             baseline_digest=self.baseline().digest)
-        if strategy == "enumerate":
-            traces = self._enumerate_traces(schedules)
-            for index, trace in enumerate(traces):
-                report = self.run_schedule(
-                    TraceTieBreaker(trace),
-                    f"{self.scenario.name}:enumerate:{index}")
-                report.index = index
-                report.strategy = "enumerate"
-                self._finish_report(report, shrink_violations)
-                result.reports.append(report)
-            return result
+        prefix: Optional[List[int]] = []
         for index in range(schedules):
-            tie_breaker = make_tie_breaker(strategy, self.seed, index)
+            if strategy == "enumerate":
+                if prefix is None:
+                    break  # schedule tree exhausted
+                tie_breaker = TraceTieBreaker(prefix)
+            else:
+                tie_breaker = make_tie_breaker(strategy, self.seed, index)
             report = self.run_schedule(
                 tie_breaker, f"{self.scenario.name}:{strategy}:{index}")
             report.index = index
-            self._finish_report(report, shrink_violations)
+            report.strategy = strategy
+            if report.failures and shrink_violations:
+                report.shrunk = self.shrink(report.decisions)
             result.reports.append(report)
+            if strategy == "enumerate":
+                prefix = _next_prefix(report)
         return result
-
-    def _finish_report(self, report: ScheduleReport,
-                       shrink_violations: bool) -> None:
-        if report.failures and shrink_violations:
-            report.shrunk = self.shrink(report.decisions)
-
-    def _enumerate_traces(self, limit: int) -> List[List[int]]:
-        """Depth-first schedule-tree walk, ``limit`` schedules at most.
-
-        Each run follows a decision prefix and FIFO beyond it while
-        recording every decision point's set size; the next prefix is
-        the odometer increment of the last branchable decision.  For
-        runs whose same-tick sets are small this enumerates *every*
-        interleaving before the limit bites.
-        """
-        traces: List[List[int]] = []
-        prefix: List[int] = []
-        while len(traces) < limit:
-            probe = TraceTieBreaker(prefix)
-            outcome = self.scenario.run(
-                probe, schedule_id=f"{self.scenario.name}:probe")
-            traces.append(list(outcome.decisions))
-            sizes = [m["size"] for m in outcome.meta]
-            taken = list(outcome.decisions)
-            # Odometer: advance the deepest decision with untried siblings.
-            depth = len(taken) - 1
-            while depth >= 0 and taken[depth] + 1 >= sizes[depth]:
-                depth -= 1
-            if depth < 0:
-                break  # schedule tree exhausted
-            prefix = taken[:depth] + [taken[depth] + 1]
-        return traces
 
     # -- replay + shrink -----------------------------------------------------
     def replay(self, decisions, schedule_id: str = "replay") -> RunOutcome:
@@ -261,6 +228,24 @@ class Explorer:
             "failures_when_found": report.failures,
             "decisions_recorded": len(report.decisions),
         }
+
+
+def _next_prefix(report: ScheduleReport) -> Optional[List[int]]:
+    """The schedule-tree walk's next decision prefix, None when done.
+
+    A schedule follows its prefix and FIFO beyond it; its ``meta``
+    records every decision point's set size, and the next prefix is the
+    odometer increment of the deepest decision with untried siblings.
+    For runs whose same-tick sets are small this enumerates *every*
+    interleaving before the schedule limit bites.
+    """
+    taken = report.decisions
+    depth = len(taken) - 1
+    while depth >= 0 and taken[depth] + 1 >= report.meta[depth]["size"]:
+        depth -= 1
+    if depth < 0:
+        return None
+    return taken[:depth] + [taken[depth] + 1]
 
 
 def save_artifact(artifact: dict, path) -> Path:

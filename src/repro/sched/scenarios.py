@@ -68,8 +68,8 @@ class ExplorationScenario:
             schedule_id: Optional[str] = None) -> RunOutcome:
         """Execute under ``tie_breaker``; fresh stack, isolated obs.
 
-        ``tie_breaker=None`` runs the scenario on the simulator's
-        default (unexplored) drain loop — the reference the tie-break
+        ``tie_breaker=None`` runs the scenario in plain FIFO heap order
+        with no tie-breaker consulted — the reference the tie-break
         equivalence tests hold ``FifoTieBreaker`` to.
         """
         obs.reset()

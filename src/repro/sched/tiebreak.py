@@ -1,12 +1,15 @@
 """Tie-breakers: pluggable same-tick ordering policies for the simulator.
 
-A :class:`TieBreaker` is consulted by the simulator's explored drain loop
-(:meth:`repro.sim.Simulator.run` with a tie-breaker installed) every time
-more than one live event shares the current timestamp.  It sees the
-*same-tick set* in ascending scheduling (``seq``) order and returns the
-index of the event to run next; the simulator never lets it reorder
-events across different timestamps, so every policy explores only
-legitimate interleavings of concurrent work.
+A :class:`TieBreaker` installed on a simulator
+(:meth:`repro.sim.Simulator.set_tie_breaker`) is consulted by its drain
+loop, :meth:`~repro.sim.Simulator.step` and
+:meth:`~repro.sim.Simulator.run` alike, every time more than one live
+event shares the next timestamp.  It sees the *same-tick set* in
+ascending scheduling (``seq``) order and returns the index of the event
+to run next; the others stay queued and are offered again, with any
+events spawned at that timestamp, at the next pick.  The simulator never
+lets it reorder events across different timestamps, so every policy
+explores only legitimate interleavings of concurrent work.
 
 Every pick from a non-trivial set is a *decision*, recorded as the chosen
 index into the seq-sorted set.  The decision list is the whole schedule:

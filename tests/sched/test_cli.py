@@ -30,6 +30,15 @@ def test_explore_clean_scenario_exits_zero(capsys):
     assert summary["schedules"] == 5
 
 
+def test_explore_defaults_to_every_registered_scenario(capsys):
+    from repro.sched.scenarios import SCENARIOS
+
+    assert main(["explore", "--schedules", "1", "--strategy", "pct"]) == 0
+    summaries = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+    assert [s["scenario"] for s in summaries] == sorted(SCENARIOS)
+
+
 def test_explore_violation_exits_one_and_writes_artifact(
         tmp_path, capsys, monkeypatch):
     from repro.binder.driver import BinderDriver

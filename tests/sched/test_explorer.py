@@ -42,14 +42,28 @@ def test_enumerate_walks_distinct_schedules(burst_explorer):
     assert schedules[0] == tuple([0] * len(schedules[0]))
 
 
+class CountingBurst(BinderBurstScenario):
+    """Counts scenario runs, so tests can see what a walk costs."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.runs = 0
+
+    def run(self, tie_breaker, schedule_id=None):
+        self.runs += 1
+        return super().run(tie_breaker, schedule_id=schedule_id)
+
+
 def test_enumerate_exhausts_a_tiny_tree():
     # Two senders x two messages in one tick: few decision points, so
     # the walk terminates before the limit and covers the whole tree.
-    scenario = BinderBurstScenario(senders=2, messages=2)
+    scenario = CountingBurst(senders=2, messages=2)
     explorer = Explorer(scenario, seed=1)
     result = explorer.explore(schedules=500, strategy="enumerate")
     assert 1 < len(result.reports) < 500
     assert result.violations == []
+    # One run per schedule plus the FIFO baseline: no probe re-runs.
+    assert scenario.runs == len(result.reports) + 1
 
 
 def test_exploration_is_deterministic(burst_explorer):

@@ -110,8 +110,17 @@ def test_pick_rejects_out_of_range_choice():
             return len(events)  # one past the end
 
     sim = Simulator()
-    sim.at(0, lambda: None)
-    sim.at(0, lambda: None)
+    fired = []
+    sim.at(0, lambda: fired.append("a"))
+    sim.at(0, lambda: fired.append("b"))
     sim.set_tie_breaker(Bad())
     with pytest.raises(Exception):
         sim.run()
+    with pytest.raises(Exception):
+        sim.step()
+    # The failed picks ran nothing and left both events queued.
+    assert fired == []
+    assert sim.pending() == 2
+    sim.set_tie_breaker(None)
+    assert sim.run() == 2
+    assert fired == ["a", "b"]

@@ -1,16 +1,18 @@
-"""The FIFO tie-breaker is the pre-change heap order, byte for byte.
+"""The FIFO tie-breaker is the default heap order, byte for byte.
 
-Installing ``FifoTieBreaker`` routes the simulator through the explored
-drain loop, so these tests are the proof that the exploration machinery
-itself changes nothing: a synthetic event program (same-tick spawns,
-cancellations, step/run mixing) must execute in exactly the default
-order, and every registered exploration scenario must produce the same
-behavior digest on the default loop and under FIFO exploration.
+Installing ``FifoTieBreaker`` makes the drain loop hand every same-tick
+set to the tie-breaker, so these tests are the proof that the
+exploration machinery itself changes nothing: a synthetic event program
+(same-tick spawns, cancellations, step/run mixing) must execute in
+exactly the default order, and every registered exploration scenario
+must produce the same behavior digest with no tie-breaker and under
+FIFO exploration.  Under any tie-breaker, a ``step()``-driven drain and
+a ``run()``-driven drain make the same picks.
 """
 
 import pytest
 
-from repro.sched import FifoTieBreaker, make_scenario
+from repro.sched import FifoTieBreaker, RandomTieBreaker, make_scenario
 from repro.sim import Simulator
 
 
@@ -18,8 +20,8 @@ def _event_program(sim, trace, spawn_key=""):
     """A program exercising same-tick spawns and cancellation.
 
     Three events share t=0; the first schedules two more at t=0 (they
-    must join the in-flight tick) and cancels one of them; later ticks
-    interleave ``after`` chains.
+    must join the next pick at that tick) and cancels one of them;
+    later ticks interleave ``after`` chains.
     """
     def spawner():
         trace.append("spawner")
@@ -63,6 +65,28 @@ def test_fifo_tiebreaker_matches_default_step_order():
     assert fifo_sim.now == default_sim.now
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_step_and_run_make_the_same_picks(seed):
+    """step() and run() are two bodies sharing one picker."""
+    traces, decisions = [], []
+    for drain in ("step", "run"):
+        trace = []
+        sim = Simulator()
+        _event_program(sim, trace, spawn_key="spawned")
+        tie_breaker = RandomTieBreaker(seed)
+        sim.set_tie_breaker(tie_breaker)
+        if drain == "step":
+            while sim.step():
+                pass
+        else:
+            sim.run()
+        traces.append(trace)
+        decisions.append(tie_breaker.decisions)
+    assert traces[0] == traces[1]
+    assert decisions[0] == decisions[1]
+    assert decisions[0], "the program has same-tick choice points"
+
+
 def test_run_until_never_overshoots_under_exploration():
     trace = []
     sim = Simulator()
@@ -77,13 +101,13 @@ def test_run_until_never_overshoots_under_exploration():
 
 
 def test_removing_tiebreaker_returns_inflight_events_to_heap():
-    """An unexecuted same-tick set survives switching back to default."""
+    """Unexecuted same-tick peers survive switching back to default."""
     trace = []
     sim = Simulator()
     for name in ("a", "b", "c"):
         sim.at(0, lambda name=name: trace.append(name))
     sim.set_tie_breaker(FifoTieBreaker())
-    sim.step()  # forms the tick set, runs "a", leaves b+c in flight
+    sim.step()  # picks "a" from the same-tick set, leaves b+c queued
     assert trace == ["a"]
     assert sim.pending() == 2
     sim.set_tie_breaker(None)
