@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples results trace chaos parallel soak \
+.PHONY: install test bench examples results trace chaos soak \
 	city abuse explore docs-check lint lint-deep check gate baselines \
 	profile clean
 
@@ -10,7 +10,6 @@ TRACE_FILE ?= trace.jsonl
 CHAOS_TRACE ?= chaos-trace.jsonl
 CHAOS_SEED ?= 42
 SOAK_TRACE ?= soak-trace.jsonl
-PARALLEL_TRACE ?= parallel-trace.jsonl
 CITY_TRACE ?= city-trace.jsonl
 CITY_SEED ?= 42
 ABUSE_TRACE ?= abuse-trace.jsonl
@@ -46,12 +45,6 @@ trace: ## fly the quickstart with telemetry on, then smoke-check the trace
 	PYTHONPATH=src $(PYTHON) -m repro.obs.check $(TRACE_FILE) \
 		--require binder. --require mavproxy. --require vdc. \
 		--require container.
-
-parallel: ## run the serial-vs-sharded fleet demo, then check the merged trace
-	PYTHONPATH=src ANDRONE_TRACE=$(PARALLEL_TRACE) \
-		$(PYTHON) examples/parallel_fleet.py
-	PYTHONPATH=src $(PYTHON) -m repro.obs.check $(PARALLEL_TRACE) \
-		--require binder. --require loadgen. --require vdc.
 
 soak: ## soak a small fleet (2 drones x 4 tenants, chaos on), then check the trace
 	PYTHONPATH=src ANDRONE_TRACE=$(SOAK_TRACE) $(PYTHON) examples/fleet_soak.py
@@ -90,7 +83,7 @@ lint: ## ruff (blocking) + mypy (advisory) + domain rules; pip install -e ".[lin
 
 lint-deep: ## whole-program pass: call graph, taint, exception flow, type-state
 	PYTHONPATH=src $(PYTHON) -m repro.lint \
-		--select flow-taint,flow-shard-state,flow-exceptions,flow-typestate \
+		--select flow-taint,flow-exceptions,flow-typestate \
 		--output repro-lint-flow.json --sarif repro-lint-flow.sarif
 
 check: test soak ## what CI gates on: quick tests, a clean soak, smoke-scale bench
@@ -109,7 +102,6 @@ baselines: ## refresh the checked-in perf baselines from a fresh smoke sweep
 		benchmarks/bench_abuse.py --benchmark-only
 	cp benchmarks/results/scale.jsonl \
 		benchmarks/results/scale_hotpaths.jsonl \
-		benchmarks/results/scale_parallel.jsonl \
 		benchmarks/results/city.jsonl \
 		benchmarks/results/abuse.jsonl benchmarks/baselines/
 
@@ -117,7 +109,7 @@ clean:
 	rm -rf .pytest_cache .ruff_cache .mypy_cache .hypothesis \
 		benchmarks/results .benchmarks src/repro.egg-info \
 		profiles trace.jsonl chaos-trace.jsonl soak-trace.jsonl \
-		parallel-trace.jsonl city-trace.jsonl shard-*.jsonl \
+		city-trace.jsonl abuse-trace.jsonl \
 		repro-lint.json repro-lint-flow.json repro-lint-flow.sarif \
 		.lint-flow-cache.json explore-artifacts
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

@@ -33,7 +33,6 @@ from repro.analysis import render_table
 from repro.loadgen import (
     FleetScenario,
     FleetHarness,
-    ParallelFleetExecutor,
     run_scenario,
 )
 
@@ -44,10 +43,6 @@ FLEET_SWEEP = (1,) if SMOKE else (1, 2, 4)
 LARGEST = (1, 2) if SMOKE else (4, 8)
 SEEDS = (42,) if SMOKE else (42, 7, 1234)
 MICRO_ITERS = 2_000 if SMOKE else 20_000
-#: worker counts for the serial-vs-parallel executor sweep.
-WORKER_SWEEP = (1, 2) if SMOKE else (1, 2, 4, 8)
-#: the parallel sweep's fleet: sharding pays off with many drones.
-PARALLEL_FLEET = (2, 2) if SMOKE else (4, 8)
 
 def run_point(drones: int, tenants: int, seed: int = 42,
               chaos_level: int = 0) -> dict:
@@ -123,86 +118,6 @@ def test_scale_sweep(benchmark, record_result, metrics_registry,
         assert p["invariant_checks"] > 0, f"{label}: monitor never ran"
         if p["chaos_level"]:
             assert p["faults"] > 0, f"{label}: chaos never fired"
-
-
-def test_parallel_speedup(benchmark, record_result, metrics_registry,
-                          export_metrics):
-    """Serial harness vs the sharded multiprocess executor.
-
-    One fleet, executed serially and then through
-    :class:`ParallelFleetExecutor` at each worker count.  Equivalence is
-    asserted at every point (identical tenant stats, waypoints and
-    verdicts — the executor's contract); the >= 2x wall-clock acceptance
-    at 4 workers only applies where 4 cores exist, so the recorded
-    numbers stay honest on smaller machines.
-    """
-    drones, tenants = PARALLEL_FLEET
-    scenario = FleetScenario(seed=42, drones=drones,
-                             tenants_per_drone=tenants, chaos_level=1)
-
-    def sweep():
-        start = time.perf_counter()
-        serial = FleetHarness(scenario).run()
-        serial_wall = time.perf_counter() - start
-        points = []
-        for workers in WORKER_SWEEP:
-            executor = ParallelFleetExecutor(scenario, workers=workers,
-                                             trace=False)
-            result = executor.run()
-            points.append({
-                "workers": workers,
-                "wall_s": executor.run_wall_s,
-                "merge_s": executor.merge_overhead_s,
-                "speedup": serial_wall / executor.run_wall_s,
-                "result": result,
-            })
-        return serial, serial_wall, points
-
-    serial, serial_wall, points = benchmark.pedantic(
-        sweep, rounds=1, iterations=1)
-
-    for p in points:
-        result = p["result"]
-        label = f"{drones}x{tenants} workers={p['workers']}"
-        assert result.waypoints_serviced == serial.waypoints_serviced, label
-        assert ([str(v) for v in result.violations]
-                == [str(v) for v in serial.violations]), label
-        assert set(result.completed) == set(serial.completed), label
-        for name, stats in serial.tenants.items():
-            assert result.tenants[name].to_dict() == stats.to_dict(), (
-                f"{label}: tenant {name} diverged from the serial run")
-
-    rows = [("serial", "-", round(serial_wall, 2), "1.00x")]
-    rows += [("parallel", p["workers"], round(p["wall_s"], 2),
-              f"{p['speedup']:.2f}x") for p in points]
-    record_result("scale_parallel", render_table(
-        ["Mode", "Workers", "Wall (s)", "Speedup"],
-        rows,
-        title=f"Sharded executor vs serial harness on a {drones}x{tenants} "
-              f"fleet (chaos on; {os.cpu_count()} cores; behavior verified "
-              f"identical at every point)"))
-
-    metrics_registry.gauge("scale_parallel.serial_wall_s",
-                           drones=drones, tenants=tenants).set(
-        round(serial_wall, 3))
-    metrics_registry.gauge("scale_parallel.cores").set(os.cpu_count() or 1)
-    for p in points:
-        labels = {"drones": drones, "tenants": tenants,
-                  "workers": p["workers"]}
-        metrics_registry.gauge("scale_parallel.wall_s", **labels).set(
-            round(p["wall_s"], 3))
-        metrics_registry.gauge("scale_parallel.merge_s", **labels).set(
-            round(p["merge_s"], 4))
-        metrics_registry.gauge("scale_parallel.speedup", **labels).set(
-            round(p["speedup"], 3))
-    export_metrics("scale_parallel", metrics_registry)
-
-    by_workers = {p["workers"]: p for p in points}
-    if not SMOKE and (os.cpu_count() or 1) >= 4 and 4 in by_workers:
-        speedup = by_workers[4]["speedup"]
-        assert speedup >= 2.0, (
-            f"4-worker executor only {speedup:.2f}x over serial on "
-            f"{os.cpu_count()} cores")
 
 
 def _bench_permission_check(iters: int) -> dict:

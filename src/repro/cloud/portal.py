@@ -119,10 +119,10 @@ class WebPortal:
     def seek_order_ids(self, next_id: int) -> None:
         """Continue numbering orders from ``next_id``.
 
-        Sharded fleet execution partitions one logical fleet across
-        portal instances; seeking each shard's counter to its partition
-        offset keeps tenant names (``user-orderN``) globally unique and
-        identical to the unsharded run.
+        Callers that partition the order sequence (the fleet harness per
+        drone, the city control plane per shard portal) seek to their
+        partition's offset, so tenant names (``user-orderN``) stay unique
+        and do not depend on how many ids earlier orders consumed.
         """
         if next_id < 1:
             raise PortalError(f"order ids start at 1, got {next_id}")

@@ -61,8 +61,8 @@ class VirtualDroneRepository:
               completed_waypoints=frozenset()) -> str:
         # Ids are per-tenant sequences (vdr-<tenant>-1, -2, ...), not one
         # global counter: a tenant's entry ids then depend only on its
-        # own flight history, so a fleet partitioned into per-drone
-        # shards mints exactly the ids the unsharded run would.
+        # own flight history, not on how many entries other tenants
+        # stored first.
         sequence = self._stored_count.get(name, 0) + 1
         self._stored_count[name] = sequence
         entry_id = f"vdr-{name}-{sequence}"

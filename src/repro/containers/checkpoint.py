@@ -85,7 +85,8 @@ def checkpoint_container(container, env, base_image_tag: str,
     deterministic replay (the VDC supervision loop) pass their own
     run-scoped ``checkpoint_id``; the default is content-addressed from
     the capture, so ids never depend on how many checkpoints other
-    drones in the process took first (repro-lint: fork-safety).
+    drones, or an earlier run in the same process, took first
+    (repro-lint: fork-safety).
     """
     processes = []
     for package, app in env.apps.items():

@@ -43,8 +43,8 @@ class VpnTunnel:
         link: LinkModel,
     ):
         # Content-derived id: stable for a given endpoint triple no
-        # matter how many tunnels other drones opened first, so serial
-        # and sharded fleet runs agree (repro-lint: fork-safety).
+        # matter how many tunnels other drones, or an earlier run in the
+        # same process, opened first (repro-lint: fork-safety).
         self.tunnel_id = int.from_bytes(hashlib.sha256(
             f"vpn:{container_name}:{local_address}:{remote_address}"
             .encode()).digest()[:4], "big")

@@ -40,9 +40,9 @@ def _stable_ns_id(kind: NamespaceKind, label: str) -> int:
     """Content-derived namespace id.
 
     Ids are a function of (kind, owner label) alone — no process-global
-    counter — so a container gets the same namespace identity whether the
-    fleet runs serially or partitioned across executor shards
-    (repro-lint: fork-safety).  Owner labels are unique within a host, so
+    counter — so a container gets the same namespace identity however
+    many containers this run, or an earlier run in the same process,
+    created first (repro-lint: fork-safety).  Owner labels are unique within a host, so
     ids are unique wherever namespaces can meet (e.g. one Binder driver).
     """
     digest = hashlib.sha256(f"{kind.value}:{label}".encode()).digest()

@@ -3,7 +3,6 @@ with the engine registry (see :func:`repro.lint.core.all_checkers`)."""
 
 from repro.lint.checkers import (  # noqa: F401
     flowexc,
-    flowshard,
     flowstate,
     flowtaint,
     forksafety,

@@ -1,13 +1,15 @@
-"""fork-safety: no mutable process-global or class-level shared state.
+"""fork-safety: no mutable module- or class-level state.
 
-The sharded :class:`~repro.loadgen.executor.ParallelFleetExecutor`
-proves serial == sharded behavior; that proof only holds when no state
-leaks across drones through module or class scope.  Class-attribute id
-counters (``_next_order_id = 0`` bumped via the class) were exactly the
-bug class PRs 2 and 4 fixed by hand — ids allocated in one shard do not
-advance the counter in another, so merged runs diverge from serial
-ones.  ALL_CAPS names are exempt by convention: they are read-only
-tables, not state.
+Seeded runs must repeat exactly, and several runs often share one
+process: a pytest session, ``make city``'s double run (which checks the
+two journal digests match) and the schedule explorer, which replays a scenario
+once per schedule.  State bound at module or class scope outlives the
+run that filled it, so the next run in the process starts from it.  A
+class-attribute id counter (``_next_order_id = 0`` bumped via the
+class) is the classic case: the second run continues numbering where
+the first stopped, and its ids, names and digests no longer match the
+first run's.  ALL_CAPS names are exempt by convention: they are
+read-only tables, not state.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _is_mutable_value(value: ast.AST, imap: ImportMap) -> bool:
 class ForkSafetyChecker(Checker):
     rule = "fork-safety"
     description = ("no mutable module globals or class-level counters — "
-                   "they break serial == sharded equivalence")
+                   "they carry state from one run into the next run in "
+                   "the same process")
 
     def check_file(self, src, config):
         imap = ImportMap(src.tree)
@@ -88,8 +91,9 @@ class ForkSafetyChecker(Checker):
             yield self.finding(
                 config, src.path, stmt.lineno, stmt.col_offset,
                 f"mutable {scope}-level state {label!r} is shared across "
-                f"instances and never survives a shard boundary; scope it "
-                f"to the instance (or rename ALL_CAPS if it is a "
+                f"instances and outlives the run, so a second run in the "
+                f"same process starts from the first run's leftovers; "
+                f"scope it to the instance (or rename ALL_CAPS if it is a "
                 f"read-only table)")
         elif (scope != "module"
               and isinstance(value, ast.Constant)
@@ -99,6 +103,6 @@ class ForkSafetyChecker(Checker):
             yield self.finding(
                 config, src.path, stmt.lineno, stmt.col_offset,
                 f"{scope} attribute {label!r} looks like a shared id "
-                f"counter; allocate ids per instance so parallel shards "
-                f"stay equivalent to the serial run (the PR 2/PR 4 bug "
-                f"class)")
+                f"counter: a second run in the same process would "
+                f"continue from the first run's last id; allocate ids "
+                f"per instance")

@@ -1,7 +1,7 @@
 """sim-clock: no wall-clock reads or sleeps on the simulated path.
 
-Golden-trace digests, the parallel-executor equivalence proof, and every
-replay test assume timestamps come from the one simulated clock
+Golden-trace digests, the recorded run digests, and every replay test
+assume timestamps come from the one simulated clock
 (``Simulator.now``).  A single ``time.time()`` on the sim path makes
 runs diverge between hosts.  Modules that legitimately measure host
 time (speedup and overhead numbers) are allowlisted in

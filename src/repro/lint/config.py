@@ -28,7 +28,7 @@ class LintConfig:
 
     #: Sim-path wall-clock allowlist: modules that legitimately measure
     #: host time (speedup/overhead numbers), relative to ``package_rel``.
-    sim_clock_allow: Tuple[str, ...] = ("loadgen/executor.py",)
+    sim_clock_allow: Tuple[str, ...] = ()
 
     #: Modules allowed to touch the ``random`` module directly (the
     #: seeded-stream registry itself).
@@ -55,32 +55,16 @@ class LintConfig:
     #: Modules whose functions *sanitize* taint: reviewed boundaries
     #: whose return values are deemed clock-free/deterministic.
     #: ``sim/rng.py`` is the blessed seeded-stream wrapper (calls into
-    #: it are the fix, not the bug); ``loadgen/executor.py`` measures
-    #: real wall time of the parallel run itself — a measurement
-    #: boundary, not sim logic.  (Distinct from ``rng_allow``/
+    #: it are the fix, not the bug).  (Distinct from ``rng_allow``/
     #: ``sim_clock_allow``, which only mute per-file reporting — taint
     #: still propagates out of a merely allowlisted module, closing the
     #: allowlist-laundering hole.)
-    flow_taint_sanitizers: Tuple[str, ...] = ("sim/rng.py",
-                                              "loadgen/executor.py")
+    flow_taint_sanitizers: Tuple[str, ...] = ("sim/rng.py",)
 
     #: Package-relative module prefixes whose public functions/methods
     #: are exception-flow entry points: every ``raise`` reachable from
     #: them must resolve to a project-defined typed error.
     flow_entry_prefixes: Tuple[str, ...] = ("cloud/", "vdc/", "security/")
-
-    #: Functions that run inside ParallelFleetExecutor worker processes
-    #: (``module.py::function``); everything they can reach is subject
-    #: to the shard-boundary state rules.
-    shard_entry_points: Tuple[str, ...] = (
-        "loadgen/executor.py::run_shard",
-        "loadgen/executor.py::_run_shard_job",
-    )
-
-    #: Modules exempt from the shard-boundary state rules.  The obs
-    #: registry is process-wide *by design* — ``run_shard`` resets it at
-    #: worker start, which is the mechanism that makes it fork-safe.
-    shard_state_allow: Tuple[str, ...] = ("obs/__init__.py",)
 
     #: Where the path of the ``SecurityError`` taxonomy root lives, for
     #: the swallowed-SecurityError handler check

@@ -8,7 +8,7 @@ name is treated as dynamic dispatch the analysis stays silent about.
 The cap trades soundness for a finding list humans will read; the
 trade is documented in docs/STATIC_ANALYSIS.md.
 
-The graph is memoized on the corpus content signature, so the four
+The graph is memoized on the corpus content signature, so the three
 ``flow-*`` checkers running in one lint share a single build.
 """
 
@@ -25,7 +25,7 @@ from repro.lint.flow.cache import content_sha, load_summaries
 #: ``stop``) whose dispatch we refuse to guess at.
 MAX_METHOD_CANDIDATES = 3
 
-#: How many chained re-exports (``from .executor import run_parallel``
+#: How many chained re-exports (``from .harness import run_scenario``
 #: in a package ``__init__``) symbol resolution follows.
 _MAX_REEXPORT_DEPTH = 5
 
@@ -260,13 +260,6 @@ class ProjectGraph:
         if len(parts) >= 2:
             return self.methods_named(parts[-1])
         return ()
-
-    def resolve_chain(self, fid: str, chain: str) -> Tuple[str, ...]:
-        """Callee fids a chain (as written inside ``fid``) resolves to —
-        the call-edge heuristics, exposed for crossing callables."""
-        rel = fid.split("::", 1)[0]
-        return self._resolve_one_call(
-            rel, self.functions[fid], self.summaries[rel], chain)
 
     # -- analyses ---------------------------------------------------------
     def taint(self) -> Dict[str, Dict[str, Tuple]]:

@@ -12,32 +12,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional
 
-from repro.lint.checkers._astutil import ImportMap, is_constant_name
-from repro.lint.checkers.forksafety import _is_mutable_value
+from repro.lint.checkers._astutil import ImportMap
 from repro.lint.checkers.rng import GLOBAL_RNG_FUNCS
 from repro.lint.checkers.simclock import BANNED_CALLS
 from repro.lint.core import SourceFile
 
 #: Bumped whenever the summary schema changes; stale cache entries are
 #: silently re-extracted.
-SCHEMA_VERSION = 1
-
-#: Container-mutating method names: calling one on a module-level
-#: binding from shard-reachable code is a cross-shard state write.
-MUTATOR_METHODS = frozenset({
-    "append", "appendleft", "add", "update", "extend", "insert",
-    "setdefault", "pop", "popleft", "popitem", "remove", "discard",
-    "clear",
-})
-
-#: Pool/executor methods whose first argument crosses a process
-#: boundary.
-_CROSSING_METHODS = frozenset({"map", "starmap", "imap", "submit",
-                               "apply", "apply_async"})
-#: Constructors whose ``target=`` callable crosses a process/thread
-#: boundary.
-_CROSSING_CTORS = frozenset({"multiprocessing.Process",
-                             "threading.Thread"})
+SCHEMA_VERSION = 2
 
 
 def _suppressed(src: SourceFile, rule: str, line: int) -> bool:
@@ -50,17 +32,6 @@ def _suppressed(src: SourceFile, rule: str, line: int) -> bool:
 
 def _chain(imap: ImportMap, expr: ast.AST) -> Optional[str]:
     return imap.resolve(expr)
-
-
-def _callable_ref(arg: ast.AST, imap: ImportMap) -> List:
-    """[kind, repr] of a callable crossing the shard boundary."""
-    if isinstance(arg, ast.Lambda):
-        return ["lambda", "<lambda>"]
-    if isinstance(arg, ast.Attribute):
-        return ["bound", _chain(imap, arg) or arg.attr]
-    if isinstance(arg, ast.Name):
-        return ["name", _chain(imap, arg) or arg.id]
-    return ["opaque", "<expr>"]
 
 
 def _taint_sources(call: ast.Call, chain: Optional[str],
@@ -104,65 +75,17 @@ def _const_seq_items(value: ast.AST, imap: ImportMap) -> Optional[List[str]]:
 
 
 def _function_summary(node, qualname: str, cls: Optional[str],
-                      imap: ImportMap, src: SourceFile,
-                      module_names: frozenset) -> Dict:
-    params = {a.arg for a in (node.args.args + node.args.posonlyargs
-                              + node.args.kwonlyargs)}
-    if node.args.vararg:
-        params.add(node.args.vararg.arg)
-    if node.args.kwarg:
-        params.add(node.args.kwarg.arg)
-
+                      imap: ImportMap, src: SourceFile) -> Dict:
     calls: List[List] = []
-    crossings: List[List] = []
     raises: List[List] = []
     handlers: List[List] = []
     sources: List[List] = []
-    globals_written: List[str] = []
-    mutable_defaults: List[List] = []
-    module_mutations: List[List] = []
-    locals_bound = set(params)
-
-    # First pass: every bound name (nested scopes included — being
-    # over-inclusive here only *reduces* module-mutation findings).
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)):
-            locals_bound.add(sub.id)
-        elif isinstance(sub, ast.Global):
-            globals_written.extend(sub.names)
-            locals_bound.difference_update(sub.names)
-
-    for default in (node.args.defaults + node.args.kw_defaults):
-        if default is not None and _is_mutable_value(default, imap):
-            mutable_defaults.append(
-                [node.name, default.lineno, default.col_offset])
 
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             chain = _chain(imap, sub.func)
             calls.append([chain, sub.lineno, sub.col_offset])
             sources.extend(_taint_sources(sub, chain, src))
-            if chain is not None:
-                parts = chain.split(".")
-                if len(parts) >= 2 and parts[-1] in _CROSSING_METHODS \
-                        and sub.args:
-                    crossings.append(
-                        _callable_ref(sub.args[0], imap)
-                        + [sub.lineno, sub.col_offset])
-                elif chain in _CROSSING_CTORS:
-                    for kw in sub.keywords:
-                        if kw.arg == "target":
-                            crossings.append(
-                                _callable_ref(kw.value, imap)
-                                + [sub.lineno, sub.col_offset])
-                if len(parts) == 2 and parts[-1] in MUTATOR_METHODS:
-                    base = parts[0]
-                    if base in module_names and base not in locals_bound \
-                            and not is_constant_name(base):
-                        module_mutations.append(
-                            [base, f".{parts[-1]}()", sub.lineno,
-                             sub.col_offset])
         elif isinstance(sub, ast.Raise):
             exc = sub.exc
             if isinstance(exc, ast.Call):
@@ -184,21 +107,6 @@ def _function_summary(node, qualname: str, cls: Optional[str],
                                body=sub.body, type_ignores=[])))
             handlers.append([names, sub.lineno, sub.col_offset,
                              has_raise, has_call])
-        elif isinstance(sub, (ast.Assign, ast.AugAssign)):
-            targets = (sub.targets if isinstance(sub, ast.Assign)
-                       else [sub.target])
-            for tgt in targets:
-                base = tgt
-                how = "="
-                if isinstance(base, ast.Subscript):
-                    base = base.value
-                    how = "[...]="
-                if isinstance(base, ast.Name) and how != "=" \
-                        and base.id in module_names \
-                        and base.id not in locals_bound \
-                        and not is_constant_name(base.id):
-                    module_mutations.append(
-                        [base.id, how, sub.lineno, sub.col_offset])
 
     return {
         "name": node.name,
@@ -208,13 +116,9 @@ def _function_summary(node, qualname: str, cls: Optional[str],
         "col": node.col_offset,
         "public": not node.name.startswith("_"),
         "calls": calls,
-        "crossings": crossings,
         "raises": raises,
         "handlers": handlers,
         "sources": sources,
-        "globals_written": sorted(set(globals_written)),
-        "mutable_defaults": mutable_defaults,
-        "module_mutations": module_mutations,
     }
 
 
@@ -245,33 +149,27 @@ def _class_attr_types(node: ast.ClassDef, imap: ImportMap) -> Dict[str, str]:
 def summarize_module(src: SourceFile) -> Dict:
     """The flow summary of one parsed module."""
     imap = ImportMap(src.tree)
-    module_names = set()
     const_seqs: Dict[str, List[str]] = {}
     classes: Dict[str, Dict] = {}
     functions: Dict[str, Dict] = {}
 
     for stmt in src.tree.body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            value = getattr(stmt, "value", None)
+            items = (_const_seq_items(value, imap)
+                     if value is not None else None)
+            if items is None:
+                continue
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target])
             for tgt in targets:
                 if isinstance(tgt, ast.Name):
-                    module_names.add(tgt.id)
-                    value = getattr(stmt, "value", None)
-                    if value is not None:
-                        items = _const_seq_items(value, imap)
-                        if items is not None:
-                            const_seqs[tgt.id] = items
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            module_names.add(stmt.name)
-        elif isinstance(stmt, ast.ClassDef):
-            module_names.add(stmt.name)
+                    const_seqs[tgt.id] = items
 
-    frozen_names = frozenset(module_names)
     for stmt in src.tree.body:
         if isinstance(stmt, ast.FunctionDef):
             functions[stmt.name] = _function_summary(
-                stmt, stmt.name, None, imap, src, frozen_names)
+                stmt, stmt.name, None, imap, src)
         elif isinstance(stmt, ast.ClassDef):
             bases = [c for c in (imap.resolve(b) for b in stmt.bases)
                      if c is not None]
@@ -280,7 +178,7 @@ def summarize_module(src: SourceFile) -> Dict:
                 if isinstance(sub, ast.FunctionDef):
                     qualname = f"{stmt.name}.{sub.name}"
                     functions[qualname] = _function_summary(
-                        sub, qualname, stmt.name, imap, src, frozen_names)
+                        sub, qualname, stmt.name, imap, src)
                     methods.append(sub.name)
             classes[stmt.name] = {
                 "line": stmt.lineno,
@@ -295,7 +193,6 @@ def summarize_module(src: SourceFile) -> Dict:
         "package_rel": src.package_rel,
         "imports": {"modules": dict(imap.modules),
                     "from_names": dict(imap.from_names)},
-        "module_names": sorted(module_names),
         "const_seqs": const_seqs,
         "classes": classes,
         "functions": functions,

@@ -22,13 +22,6 @@ from repro.loadgen.city import (
     make_city_specs,
     run_city,
 )
-from repro.loadgen.executor import (
-    ParallelFleetExecutor,
-    ShardOutcome,
-    behavior_digest,
-    run_parallel,
-    run_shard,
-)
 from repro.loadgen.harness import (
     FleetHarness,
     FleetResult,
@@ -49,15 +42,10 @@ __all__ = [
     "FleetScenario",
     "InvariantMonitor",
     "InvariantViolation",
-    "ParallelFleetExecutor",
     "ScenarioError",
-    "ShardOutcome",
     "TenantStats",
     "WORKLOADS",
-    "behavior_digest",
     "make_city_specs",
     "run_city",
-    "run_parallel",
     "run_scenario",
-    "run_shard",
 ]

@@ -164,27 +164,14 @@ class _DroneSlot:
 class FleetHarness:
     """Build and run one fleet scenario end to end.
 
-    ``drone_indices`` restricts the harness to a subset of the
-    scenario's drones (a *shard*): the selected drones are built with
-    exactly the identities — node seeds, order ids, planner RNG
-    streams, chaos plans — they would have in the full fleet, so a
-    partitioned run reproduces the unsharded run drone-for-drone (see
-    :mod:`repro.loadgen.executor`).  Default: every drone.
+    Every drone is built with identities — node seed, order ids,
+    planner RNG stream, chaos plan — derived from its index in the
+    scenario, so running the same scenario again, in the same process
+    or a fresh one, builds the same fleet and replays the same run.
     """
 
-    def __init__(self, scenario: FleetScenario,
-                 drone_indices: Optional[List[int]] = None):
+    def __init__(self, scenario: FleetScenario):
         self.scenario = scenario
-        if drone_indices is None:
-            self.drone_indices = list(range(scenario.drones))
-        else:
-            self.drone_indices = sorted(set(drone_indices))
-            bad = [i for i in self.drone_indices
-                   if not 0 <= i < scenario.drones]
-            if bad or not self.drone_indices:
-                raise ValueError(
-                    f"drone_indices must be a non-empty subset of "
-                    f"0..{scenario.drones - 1}, got {drone_indices}")
         self.system = AnDroneSystem(seed=scenario.seed)
         self.system.portal.admission = AdmissionController(
             max_pending=max(16, 2 * scenario.total_tenants),
@@ -219,7 +206,7 @@ class FleetHarness:
             # bounded admission queue.
             self.order_storm_report = abuse.run_order_storm(
                 self.system.portal, scenario)
-        for drone_index in self.drone_indices:
+        for drone_index in range(scenario.drones):
             self.slots.append(self._build_drone(drone_index))
 
     # -- construction -----------------------------------------------------------
@@ -271,11 +258,12 @@ class FleetHarness:
     def _build_drone(self, drone_index: int) -> _DroneSlot:
         scenario = self.scenario
         system = self.system
-        # Every per-drone identity is derived from the *global* drone
-        # index, never from construction order, so a shard holding any
-        # subset of drones builds them bit-identically to the full run:
-        # - order ids are the drone's partition of the fleet sequence,
-        # - the node seed is index-based (matching the serial default),
+        # Every per-drone identity is derived from the drone index, never
+        # from how many ids or draws earlier work consumed, so a repeat
+        # run of the scenario builds each drone bit-identically:
+        # - order ids are the drone's partition of the fleet sequence
+        #   (an order storm consumes ids before the honest orders),
+        # - the node seed is index-based,
         # - planning draws from a per-drone RNG stream.
         system.portal.seek_order_ids(
             drone_index * scenario.tenants_per_drone + 1)
@@ -524,9 +512,8 @@ class FleetHarness:
 
         A landed drone's fan-out and VFC servers stop emitting, and the
         station/frame counts are snapshotted before any later-queued
-        event can touch them — so a drone's stats are identical whether
-        the rest of the fleet is still flying (serial run) or was never
-        built (sharded run, :mod:`repro.loadgen.executor`)."""
+        event can touch them — so a drone's stats do not depend on how
+        long the rest of the fleet keeps flying."""
         if slot.final_counts is not None:
             return
         slot.fanout.stop()

@@ -134,8 +134,9 @@ class InstrumentCache:
     ``enable()``/``disable()``/``reset()`` invalidate it wholesale and a
     cached instrument can never leak counts into the wrong registry.
     Instances belong on the objects that own the call site (never at
-    module/class level — the fork-safety lint rule applies to this cache
-    like any other mutable state).
+    module/class level, where every run in the process would share
+    it — the fork-safety lint rule applies to this cache like any other
+    mutable state).
     """
 
     __slots__ = ("_registry", "_memo")

@@ -14,8 +14,7 @@ from repro.lint.sarif import render_sarif
 
 from tests.lint.conftest import make_repo
 
-_FLOW_RULES = ["flow-taint", "flow-shard-state", "flow-exceptions",
-               "flow-typestate"]
+_FLOW_RULES = ["flow-taint", "flow-exceptions", "flow-typestate"]
 
 
 def _violating_repo(tmp_path):
@@ -44,10 +43,6 @@ def _violating_repo(tmp_path):
                 if spec is None:
                     raise RuntimeError("no spec")
                 return spec
-            """,
-        "src/repro/fleet/batch.py": """\
-            def run_all(pool, jobs):
-                return pool.map(lambda j: j + 1, jobs)
             """,
     })
 

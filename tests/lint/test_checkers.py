@@ -2,6 +2,8 @@
 snippet per checker, plus the allowlist/exemption edges each rule
 carries."""
 
+import importlib.util
+
 from repro.lint import Severity
 
 from tests.lint.conftest import lint_rule
@@ -51,14 +53,19 @@ class TestSimClock:
         assert lint_rule(config, "sim-clock") == []
 
     def test_allowlisted_module_is_skipped(self, mini):
-        # loadgen/executor.py measures real speedup; same code, no finding.
-        config = mini({"src/repro/loadgen/executor.py": """\
+        # A module that measures real wall time is allowlisted; the same
+        # code elsewhere is still caught.
+        wall = """\
             import time
 
             def wall():
                 return time.perf_counter()
-            """})
-        assert lint_rule(config, "sim-clock") == []
+            """
+        config = mini({"src/repro/bench/timer.py": wall,
+                       "src/repro/flight/timer.py": wall})
+        config.sim_clock_allow = ("bench/timer.py",)
+        findings = lint_rule(config, "sim-clock")
+        assert [f.path for f in findings] == ["src/repro/flight/timer.py"]
 
 
 class TestSeededRng:
@@ -121,7 +128,7 @@ class TestForkSafety:
             """})
         findings = lint_rule(config, "fork-safety")
         assert len(findings) == 1
-        assert "shard" in findings[0].message
+        assert "second run in the same process" in findings[0].message
 
     def test_module_level_mutable_dict_is_caught(self, mini):
         config = mini({"src/repro/cloud/bad.py": """\
@@ -130,7 +137,6 @@ class TestForkSafety:
         assert len(lint_rule(config, "fork-safety")) == 1
 
     def test_class_level_id_counter_is_caught(self, mini):
-        # The PR 2/PR 4 bug class verbatim.
         config = mini({"src/repro/cloud/bad.py": """\
             class Portal:
                 _next_order_id = 0
@@ -166,6 +172,53 @@ class TestForkSafety:
                     self._next_order_id = 1
             """})
         assert lint_rule(config, "fork-safety") == []
+
+    def test_class_counter_breaks_repeat_runs_in_one_process(self, mini):
+        # Two seeded runs in one process (a pytest session, `make city`'s
+        # double run, the explorer) must allocate the same ids.  A class
+        # counter bumped via the class breaks that, and the rule flags
+        # exactly its binding; the instance-scoped fix repeats and is
+        # clean.
+        run = """\
+
+            def run(orders):
+                ledger = Ledger()
+                return [ledger.open() for _ in range(orders)]
+            """
+        shared = """\
+            class Ledger:
+                _next_id = 0
+
+                def open(self):
+                    Ledger._next_id += 1
+                    return Ledger._next_id
+            """
+        scoped = """\
+            class Ledger:
+                def __init__(self):
+                    self._next_id = 0
+
+                def open(self):
+                    self._next_id += 1
+                    return self._next_id
+            """
+        config = mini({"src/repro/cloud/shared.py": shared + run,
+                       "src/repro/cloud/scoped.py": scoped + run})
+        package = config.package_dir / "cloud"
+
+        def two_runs(name):
+            spec = importlib.util.spec_from_file_location(
+                f"planted_{name}", package / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.run(3), module.run(3)
+
+        assert two_runs("shared") == ([1, 2, 3], [4, 5, 6])
+        assert two_runs("scoped") == ([1, 2, 3], [1, 2, 3])
+        findings = lint_rule(config, "fork-safety")
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/cloud/shared.py", 2)]
+        assert "_next_id" in findings[0].message
 
 
 class TestErrorTaxonomy:

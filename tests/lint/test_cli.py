@@ -87,8 +87,7 @@ class TestReports:
         out = capsys.readouterr().out
         for rule in ("sim-clock", "seeded-rng", "fork-safety",
                      "error-taxonomy", "mav-whitelist", "metric-docs",
-                     "flow-taint", "flow-shard-state", "flow-exceptions",
-                     "flow-typestate"):
+                     "flow-taint", "flow-exceptions", "flow-typestate"):
             assert rule in out
 
 

@@ -4,11 +4,18 @@
 Runs ``perfbench/run.py --trace 1`` on each gated workload and compares
 every per-layer metric whose unit is ``count`` (sim events, physics and
 control steps, binder and android transactions, device reads, MAVLink
-frames, guard checks, ...) with the recorded row for the same workload
-in ``perfbench/results/layers.jsonl``.  Counts are a pure function of
-the seed, so any difference means the program now does different work:
-an optimisation that skipped, batched or added calls, or a behaviour
-change.  Wall-time metrics are printed by the benchmark but not gated.
+frames, guard checks, ...) with the expected counts for the same
+workload in ``benchmarks/baselines/work_counts.json``.  Counts are a
+pure function of the seed, so any difference means the program now does
+different work: an optimisation that skipped, batched or added calls, or
+a behaviour change.  Wall-time metrics are printed by the benchmark but
+not gated.
+
+The expected counts were first copied value for value from the
+benchmark's recorded rows (``perfbench/results/layers.jsonl``).  A
+change that is meant to do less (or more) work edits exactly the counts
+it predicts in ``work_counts.json``, in the same change; every count is
+still compared for exact equality.
 
 Usage (from the repository root)::
 
@@ -16,7 +23,7 @@ Usage (from the repository root)::
 
 Exit status 1, with one line per differing or missing count, when
 anything moves or a benchmark output check fails; 0 otherwise.  The
-recorded file is only read.
+expected-counts file is only read.
 """
 
 from __future__ import annotations
@@ -25,35 +32,25 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RECORDED = REPO_ROOT / "perfbench" / "results" / "layers.jsonl"
-WORKLOADS = ("fleet-mission", "city-orders")
-#: The recorded rows were taken at each workload's default seed.
-SEED = 42
+EXPECTED = REPO_ROOT / "benchmarks" / "baselines" / "work_counts.json"
 #: ``--seconds`` per workload: counts do not depend on run length, and
 #: one untraced plus one traced run is all the comparison needs.
 SECONDS = 5.0
 
 
-def recorded_counts(path: Path, workload: str) -> Dict[str, Any]:
-    """``name -> value`` of the count-unit metrics recorded for ``workload``."""
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        if row["workload"] == workload and row["seed"] in ("default", SEED):
-            return {name: metric["value"]
-                    for name, metric in row["metrics"].items()
-                    if metric["unit"] == "count"}
-    raise SystemExit(f"{path}: no recorded row for {workload}")
+def load_expected(path: Path) -> Tuple[int, Dict[str, Dict[str, Any]]]:
+    """``(seed, workload -> {count name -> value})`` from ``path``."""
+    doc = json.loads(path.read_text())
+    return doc["seed"], doc["workloads"]
 
 
-def measured(workload: str) -> Dict[str, Any]:
+def measured(workload: str, seed: int) -> Dict[str, Any]:
     """The last-line JSON of one traced benchmark run."""
     command = [sys.executable, str(REPO_ROOT / "perfbench" / "run.py"),
-               "--workload", workload, "--seed", str(SEED),
+               "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", "1"]
     proc = subprocess.run(command, cwd=str(REPO_ROOT), capture_output=True,
                           text=True)
@@ -74,18 +71,18 @@ def compare(workload: str, expected: Dict[str, Any],
     for name, value in sorted(expected.items()):
         got = metrics.get(name)
         if got is None:
-            problems.append(f"{workload}: {name} missing (recorded {value})")
+            problems.append(f"{workload}: {name} missing (expected {value})")
         elif got["value"] != value:
             problems.append(f"{workload}: {name} = {got['value']} "
-                            f"(recorded {value})")
+                            f"(expected {value})")
     return problems
 
 
 def main() -> int:
     problems: List[str] = []
-    for workload in WORKLOADS:
-        expected = recorded_counts(RECORDED, workload)
-        result = measured(workload)
+    seed, workloads = load_expected(EXPECTED)
+    for workload, expected in workloads.items():
+        result = measured(workload, seed)
         found = compare(workload, expected, result)
         problems += found
         print(f"{workload}: {len(expected)} counts checked, "
