@@ -109,7 +109,7 @@ clean:
 	rm -rf .pytest_cache .ruff_cache .mypy_cache .hypothesis \
 		benchmarks/results .benchmarks src/repro.egg-info \
 		profiles trace.jsonl chaos-trace.jsonl soak-trace.jsonl \
-		city-trace.jsonl abuse-trace.jsonl \
+		city-trace.jsonl \
 		repro-lint.json repro-lint-flow.json repro-lint-flow.sarif \
 		.lint-flow-cache.json explore-artifacts
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

@@ -2,9 +2,10 @@
 
 Seeded runs must repeat exactly, and several runs often share one
 process: a pytest session, ``make city``'s double run (which checks the
-two journal digests match) and the schedule explorer, which replays a scenario
-once per schedule.  State bound at module or class scope outlives the
-run that filled it, so the next run in the process starts from it.  A
+two journal digests match) and the schedule explorer, which replays a
+scenario once per schedule.  State bound at module or class scope
+outlives the run that filled it, so the next run in the process starts
+from it.  A
 class-attribute id counter (``_next_order_id = 0`` bumped via the
 class) is the classic case: the second run continues numbering where
 the first stopped, and its ids, names and digests no longer match the

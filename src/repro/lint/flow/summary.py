@@ -155,16 +155,15 @@ def summarize_module(src: SourceFile) -> Dict:
 
     for stmt in src.tree.body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            value = getattr(stmt, "value", None)
-            items = (_const_seq_items(value, imap)
-                     if value is not None else None)
-            if items is None:
-                continue
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target])
             for tgt in targets:
                 if isinstance(tgt, ast.Name):
-                    const_seqs[tgt.id] = items
+                    value = getattr(stmt, "value", None)
+                    if value is not None:
+                        items = _const_seq_items(value, imap)
+                        if items is not None:
+                            const_seqs[tgt.id] = items
 
     for stmt in src.tree.body:
         if isinstance(stmt, ast.FunctionDef):

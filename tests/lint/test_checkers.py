@@ -137,6 +137,7 @@ class TestForkSafety:
         assert len(lint_rule(config, "fork-safety")) == 1
 
     def test_class_level_id_counter_is_caught(self, mini):
+        # The PR 2/PR 4 bug class verbatim.
         config = mini({"src/repro/cloud/bad.py": """\
             class Portal:
                 _next_order_id = 0
