@@ -10,10 +10,11 @@ removing a shard moves *only* the keys that shard owned, and adding it
 back restores the exact previous mapping.
 
 Because a key's shard depends only on (key, membership, vnodes), the
-router memoizes each answer until the membership next changes: the city
-invariant monitor re-routes every tenant record on every sweep, and
-without the memo each of those lookups re-hashes the same few hundred
-user names.
+router memoizes each answer until the membership next changes.  The same
+few hundred users are routed again and again: once per order attempt,
+and by the city invariant monitor for each record it re-checks, which is
+every record after a membership change.  Without the memo each of those
+lookups would re-hash its user name.
 """
 
 from __future__ import annotations
