@@ -10,16 +10,12 @@ Three measurements:
 2. **Seed stability** — the largest point (4 drones x 8 tenants) across
    three seeds with the chaos overlay on: invariants must hold for every
    seed.
-3. **Hot-path microbenchmarks** — two optimizations this harness
-   motivated, measured on their saturated paths:
-
-   * cross-container permission check: memoized vs full AM binder round
-     trip (acceptance: >= 2x),
-   * telemetry fan-out: one shared round vs T private timers per drone
-     (recorded; the win is real but bounded by per-tenant encode cost).
+3. **Hot-path microbenchmark** — the cross-container permission check
+   this harness motivated, memoized vs the full AM binder round trip on
+   its saturated path (acceptance: >= 2x).
 
 End-to-end soak wall time is SITL-dominated, so the sweep records wall
-time per point while the >= 2x acceptance rides on the microbenchmarks.
+time per point while the >= 2x acceptance rides on the microbenchmark.
 Results land in ``results/scale.txt`` (tables) and ``results/scale.jsonl``
 (machine-readable trajectory).
 
@@ -153,92 +149,30 @@ def _bench_permission_check(iters: int) -> dict:
     return timings
 
 
-def _bench_telemetry_fanout(iters: int, reps: int = 3) -> dict:
-    """Shared telemetry rounds vs per-tenant private timers.
-
-    End-to-end soak time is SITL-dominated, so this isolates the
-    emission path itself: one full drone's tenants each receive a
-    heartbeat + position.  The private-timer baseline reads the
-    autopilot once *per tenant*; a fan-out round reads it once *per
-    round* (``begin_telemetry_round`` memoizes the snapshot).  Best-of-
-    ``reps`` timing; a snapshot-equality check proves the shared read
-    returns exactly what per-tenant reads would.
-    """
-    tenants = LARGEST[1]
-    harness = FleetHarness(
-        FleetScenario(seed=42, drones=1, tenants_per_drone=tenants))
-    proxy = harness.slots[0].node.proxy
-    servers = harness.fanouts[0].servers
-    assert len(servers) == tenants
-
-    # The round snapshot is *exactly* the per-tenant read at this instant.
-    proxy.begin_telemetry_round()
-    shared = proxy.fc_global_position()
-    proxy.end_telemetry_round()
-    assert shared == proxy.fc_global_position(), (
-        "fan-out round snapshot differs from a direct autopilot read")
-
-    timings = {}
-    for _ in range(reps):
-        start = time.perf_counter()
-        for _ in range(iters):            # private timers: T autopilot reads
-            for server in servers:
-                server.emit_heartbeat()
-                server.emit_position()
-        dt = time.perf_counter() - start
-        timings["timers"] = min(timings.get("timers", dt), dt)
-
-        start = time.perf_counter()
-        for _ in range(iters):            # fan-out: one shared read per round
-            proxy.begin_telemetry_round()
-            try:
-                for server in servers:
-                    server.emit_heartbeat()
-                    server.emit_position()
-            finally:
-                proxy.end_telemetry_round()
-        dt = time.perf_counter() - start
-        timings["fanout"] = min(timings.get("fanout", dt), dt)
-    return timings
-
-
 def test_hotpath_microbench(benchmark, record_result, metrics_registry,
                             export_metrics):
     def run_all():
         return {
             "permission": _bench_permission_check(MICRO_ITERS),
-            "fanout": _bench_telemetry_fanout(MICRO_ITERS // 10),
         }
 
     micro = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     permission_x = (micro["permission"]["uncached"]
                     / micro["permission"]["cached"])
-    fanout_x = micro["fanout"]["timers"] / micro["fanout"]["fanout"]
 
     record_result("scale_hotpaths", render_table(
         ["Hot path", "Baseline (ms)", "Optimized (ms)", "Speedup"],
         [("permission check (AM round trip vs memo)",
           round(micro["permission"]["uncached"] * 1e3, 2),
           round(micro["permission"]["cached"] * 1e3, 2),
-          f"{permission_x:.1f}x"),
-         (f"telemetry to {LARGEST[1]} tenants (timers vs fan-out)",
-          round(micro["fanout"]["timers"] * 1e3, 2),
-          round(micro["fanout"]["fanout"] * 1e3, 2),
-          f"{fanout_x:.2f}x")],
+          f"{permission_x:.1f}x")],
         title=f"Saturated hot paths at the largest sweep point "
               f"({MICRO_ITERS} iterations; acceptance: permission >= 2x)"))
 
     metrics_registry.gauge("scale.speedup", path="permission_check").set(
         round(permission_x, 2))
-    metrics_registry.gauge("scale.speedup", path="telemetry_fanout").set(
-        round(fanout_x, 2))
     export_metrics("scale_hotpaths", metrics_registry)
 
     assert permission_x >= 2.0, (
         f"permission memo only {permission_x:.1f}x over the AM round trip")
-    # The fan-out win is bounded by the per-tenant send cost it cannot
-    # remove, so the speedup is recorded rather than gated at 2x; the
-    # loose bound catches a regression that makes rounds a pessimization.
-    assert fanout_x >= 0.9, (
-        f"telemetry fan-out slower than private timers ({fanout_x:.2f}x)")

@@ -30,12 +30,12 @@ import sys
 import repro.obs as obs
 from repro.binder.driver import TransientBinderError
 from repro.core import AnDroneSystem
-from repro.core.mission import MissionRunner
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.mavproxy.server import VfcServer
 from repro.net.link import wifi
 from repro.net.network import Network
 from repro.sdk.listener import WaypointListener
+from repro.sim import Process
 
 PACKAGE = "com.example.surveyor"
 SHOTS_PER_WAYPOINT = 5
@@ -157,23 +157,16 @@ def run_chaos_mission(seed: int = 42, verbose: bool = True):
     node.vdc.enable_supervision(heartbeat_interval_s=0.5)
     system.register_app_behavior(PACKAGE, _install_surveyor)
 
-    # Create the virtual drone (the fly_orders flow, opened up so the
-    # injector and ground station can attach before the mission starts).
-    plans = system.planner.plan([order.definition],
-                                battery_j=node.battery.remaining_j * 0.8)
-    vdrone = node.start_virtual_drone(
-        order.definition, app_manifests=system._manifests_for(order))
-    for package, app in vdrone.env.apps.items():
-        installer = system.app_behaviors.get(package)
-        if installer is not None:
-            vdrone.installers[package] = installer
-            installer(app, vdrone.sdk, vdrone)
+    # The fly_orders steps, opened up so the injector and ground station
+    # can attach before the mission starts.
+    plans = system.plan_orders([order], node)
+    vdrone = system.start_tenant(order, node)
 
     # The tenant's ground station, so link faults hit real MAVLink traffic.
     network = Network(system.sim, system.rng)
     server = VfcServer(system.sim, vdrone.vfc, network,
                        "10.99.1.2:5760", "user:14550", link=wifi())
-    server.start()
+    node.proxy.start_telemetry()
 
     plan = build_fault_plan(seed, tenant=name)
     injector = (FaultInjector(system.sim, plan)
@@ -182,9 +175,7 @@ def run_chaos_mission(seed: int = 42, verbose: bool = True):
                 .start())
 
     node.boot()
-    runner = MissionRunner(node, plans[0], portal=system.portal,
-                           order_ids={name: order.order_id})
-    report = runner.execute()
+    report = Process(system.sim, system.fly(node, plans, [order])).join()
 
     say(f"flight complete in {report.duration_s:.0f} s (sim time), "
         f"{report.waypoints_serviced} waypoint(s) serviced")

@@ -13,7 +13,7 @@ AnDrone-specific flows from Figure 6:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.binder.driver import BinderProcess, NodeRef
 from repro.binder.objects import Transaction
@@ -24,14 +24,16 @@ class ServiceNotFoundError(KeyError):
 
 
 #: Service names the device container shares with all virtual drones
-#: (paper Table 1) — plus the ActivityManager marker used for forwarding.
-DEFAULT_SHARED_SERVICES = (
+#: (paper Table 1).
+SHARED_SERVICES = (
     "AudioFlinger",
     "CameraService",
     "LocationManagerService",
     "SensorService",
 )
 
+#: The registration every virtual drone forwards to the device container
+#: for cross-container permission checks (Figure 6).
 ACTIVITY_MANAGER = "ActivityManager"
 
 
@@ -42,14 +44,10 @@ class ServiceManager:
         self,
         proc: BinderProcess,
         is_device_container: bool = False,
-        shared_services: Iterable[str] = DEFAULT_SHARED_SERVICES,
-        forward_activity_manager: bool = True,
     ):
         self.proc = proc
         self.container = proc.container
         self.is_device_container = is_device_container
-        self.shared_services = tuple(shared_services)
-        self.forward_activity_manager = forward_activity_manager
         self._services: Dict[str, int] = {}  # name -> handle in *our* table
         self._self_ref = proc.create_node(self._handle_txn, f"servicemanager:{self.container}")
         proc.ioctl_set_context_mgr(self._self_ref)
@@ -101,14 +99,10 @@ class ServiceManager:
                 del self._services[name]
 
         self.proc.link_to_death(handle, on_death)
-        if self.is_device_container and name in self.shared_services:
+        if self.is_device_container and name in SHARED_SERVICES:
             # Figure 6 top: share the service with every virtual drone.
             self.proc.ioctl_publish_to_all_ns(name, self.proc.ref_for_handle(handle))
-        if (
-            not self.is_device_container
-            and self.forward_activity_manager
-            and name == ACTIVITY_MANAGER
-        ):
+        if not self.is_device_container and name == ACTIVITY_MANAGER:
             # Figure 6 bottom: make our ActivityManager reachable from the
             # device container for cross-container permission checks.
             self.proc.ioctl_publish_to_dev_con(name, self.proc.ref_for_handle(handle))
@@ -117,7 +111,7 @@ class ServiceManager:
         """Publish all currently-shared services into a newly created
         namespace (a virtual drone started after the device container)."""
         count = 0
-        for name in self.shared_services:
+        for name in SHARED_SERVICES:
             if name in self._services:
                 node = self.proc._resolve(self._services[name])
                 if via_driver.publish_to_namespace(ns, name, node, self.proc):

@@ -54,6 +54,11 @@ from repro.vdc.definition import VirtualDroneDefinition
 #: Base image tag recorded on migration VDR entries.
 BASE_IMAGE_TAG = "android-things-base"
 
+#: Sim time to export a tenant's container diff at the source drone, and
+#: to import it at the destination.
+EXPORT_US = 2_000_000
+IMPORT_US = 1_000_000
+
 
 class MigrationState(enum.Enum):
     REQUESTED = "requested"
@@ -111,14 +116,11 @@ class MigrationCoordinator:
     """Runs migration tickets to completion on the sim clock."""
 
     def __init__(self, sim, placer: PlacementPolicy, fleet: FleetDirectory,
-                 export_s: float = 2.0, import_s: float = 1.0,
                  retry_limit: int = 2, retry_backoff_s: float = 5.0,
                  journal: Optional[Callable[..., None]] = None):
         self.sim = sim
         self.placer = placer
         self.fleet = fleet
-        self.export_us = int(export_s * 1e6)
-        self.import_us = int(import_s * 1e6)
         self.retry_limit = retry_limit
         self.retry_backoff_us = int(retry_backoff_s * 1e6)
         self._journal = journal or (lambda **kw: None)
@@ -139,7 +141,7 @@ class MigrationCoordinator:
         self._journal(kind="migration_requested", tenant=ticket.tenant,
                       source=ticket.source_drone)
         ticket.transition(MigrationState.EXPORTING, self.sim.now)
-        self.sim.after(self.export_us, lambda: self._export_done(
+        self.sim.after(EXPORT_US, lambda: self._export_done(
             ticket, vdr, span, on_placed, on_failed))
         return ticket
 
@@ -173,7 +175,7 @@ class MigrationCoordinator:
             return
         ticket.target_drone = decision.drone_id
         ticket.transition(MigrationState.IMPORTING, self.sim.now)
-        self.sim.after(self.import_us, lambda: self._import_done(
+        self.sim.after(IMPORT_US, lambda: self._import_done(
             ticket, vdr, span, decision, on_placed, on_failed))
 
     def _import_done(self, ticket, vdr, span, decision,

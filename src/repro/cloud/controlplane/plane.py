@@ -89,8 +89,6 @@ class CityControlPlane:
                  dispatch_delay_s: float = 5.0,
                  flight_overhead_s: float = 30.0,
                  service_fraction: float = 0.25,
-                 migration_export_s: float = 2.0,
-                 migration_import_s: float = 1.0,
                  migration_retry_limit: int = 2,
                  migration_retry_backoff_s: float = 5.0):
         if shard_count < 1:
@@ -119,7 +117,6 @@ class CityControlPlane:
         self.service_fraction = service_fraction
         self.migrations = MigrationCoordinator(
             sim, self.placer, self.fleet,
-            export_s=migration_export_s, import_s=migration_import_s,
             retry_limit=migration_retry_limit,
             retry_backoff_s=migration_retry_backoff_s,
             journal=self.journal)

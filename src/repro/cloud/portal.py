@@ -93,21 +93,25 @@ DEFAULT_GEOFENCE_RADIUS_M = 30.0
 MAX_GEOFENCE_RADIUS_M = 100.0
 
 
+#: Drone type name -> human description (video, sensor payloads, ...).
+DRONE_TYPES = {
+    "standard": "quadcopter with camera and GPS",
+    "video": "quadcopter specialized for stabilized video",
+    "sensor": "quadcopter with environmental sensor payload",
+    "dense": "high-capacity quadcopter for many concurrent tenants",
+}
+
+
 class WebPortal:
     """The user-facing front end of the cloud service."""
 
+    #: the drone types users can order (:data:`DRONE_TYPES`).
+    drone_types = DRONE_TYPES
+
     def __init__(self, app_store: AppStore, billing: BillingService,
-                 drone_types: Optional[Dict[str, str]] = None,
                  admission: Optional[AdmissionController] = None):
         self.app_store = app_store
         self.billing = billing
-        #: drone type name -> human description (video, sensor payloads, ...)
-        self.drone_types = drone_types or {
-            "standard": "quadcopter with camera and GPS",
-            "video": "quadcopter specialized for stabilized video",
-            "sensor": "quadcopter with environmental sensor payload",
-            "dense": "high-capacity quadcopter for many concurrent tenants",
-        }
         #: back-pressure on order submission; None = unguarded front door.
         self.admission = admission
         self.orders: Dict[int, Order] = {}

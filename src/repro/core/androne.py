@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.android.manifest import AndroidManifest, AnDroneManifest
 from repro.cloud.app_store import AppStore
 from repro.cloud.billing import BillingService
-from repro.cloud.planner import DroneEnergyModel, FlightPlanner
+from repro.cloud.planner import DroneEnergyModel, FlightPlan, FlightPlanner
 from repro.cloud.portal import Order, WebPortal
 from repro.cloud.storage import CloudStorage
 from repro.cloud.vdr import VirtualDroneRepository
@@ -16,7 +16,8 @@ from repro.core.drone_node import DroneNode
 from repro.core.mission import MissionReport, MissionRunner
 from repro.flight.geo import GeoPoint
 from repro.kernel.config import PreemptionMode
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Process, RngRegistry, Simulator, Timeout
+from repro.vdc.controller import VirtualDrone
 
 DEFAULT_HOME = GeoPoint(43.6084298, -85.8110359, 0.0)
 
@@ -104,23 +105,19 @@ class AnDroneSystem:
                                                   resume=resume)
         return reports
 
-    # -- the end-to-end flow -----------------------------------------------------------------
-    def fly_orders(self, orders: List[Order], node: Optional[DroneNode] = None,
-                   resume: bool = False) -> MissionReport:
-        """Plan and execute one flight servicing ``orders``.
+    # -- the end-to-end flow (Figure 4) -------------------------------------------------
+    def plan_orders(self, orders: List[Order], node: DroneNode,
+                    planner: Optional[FlightPlanner] = None) -> List[FlightPlan]:
+        """Plan ``orders`` on ``node``'s battery and confirm each order's
+        operating window at the portal (Section 2).
 
-        With ``resume=True``, tenants with a resumable VDR entry are
-        restored from their stored diff instead of a clean image.
+        ``planner`` defaults to the system's; a fleet that plans each
+        drone from its own RNG stream passes a per-drone one.
         """
-        if node is None:
-            node = self.fleet[0] if self.fleet else self.add_drone()
-        definitions = [order.definition for order in orders]
-        plans = self.planner.plan(definitions,
-                                  battery_j=node.battery.remaining_j * 0.8)
-        # Communicate operating windows (Section 2).
-        order_ids = {}
+        plans = (planner or self.planner).plan(
+            [order.definition for order in orders],
+            battery_j=node.battery.remaining_j * 0.8)
         for order in orders:
-            order_ids[order.definition.name] = order.order_id
             for plan in plans:
                 try:
                     window = plan.operating_window(order.definition.name)
@@ -128,40 +125,76 @@ class AnDroneSystem:
                     continue
                 self.portal.confirm_window(order.order_id, *window)
                 break
-        # Create (or resume) the virtual drones on the hardware.
-        for order in orders:
-            name = order.definition.name
-            resume_diff = None
-            completed = None
-            if resume:
-                entry = self.vdr.latest_for(name)
-                if entry is not None and entry.resumable:
-                    resume_diff = entry.diff
-                    completed = entry.completed_waypoints
-            vdrone = node.start_virtual_drone(
-                order.definition,
-                app_manifests=self._manifests_for(order),
-                resume_diff=resume_diff,
-                completed_waypoints=completed,
-            )
-            for package, app in vdrone.env.apps.items():
-                installer = self.app_behaviors.get(package)
-                if installer is not None:
-                    # Remembered so a supervision restart can rewire the
-                    # restored app instances (vdc.restart_virtual_drone).
-                    vdrone.installers[package] = installer
-                    installer(app, vdrone.sdk, vdrone)
-        node.boot()
-        # Execute every planned flight, swapping a fresh pack in between.
-        report: MissionReport = None
+        return plans
+
+    def start_tenant(self, order: Order, node: DroneNode,
+                     resume: bool = False) -> VirtualDrone:
+        """Create the order's virtual drone on ``node`` with its apps'
+        manifests, then wire every app's registered behaviour.
+
+        With ``resume=True``, a tenant with a resumable VDR entry is
+        restored from its stored diff instead of a clean image.
+        """
+        name = order.definition.name
+        resume_diff = None
+        completed = None
+        if resume:
+            entry = self.vdr.latest_for(name)
+            if entry is not None and entry.resumable:
+                resume_diff = entry.diff
+                completed = entry.completed_waypoints
+        vdrone = node.start_virtual_drone(
+            order.definition,
+            app_manifests=self._manifests_for(order),
+            resume_diff=resume_diff,
+            completed_waypoints=completed,
+        )
+        for package, app in vdrone.env.apps.items():
+            installer = self.app_behaviors.get(package)
+            if installer is not None:
+                # Remembered so a supervision restart can rewire the
+                # restored app instances (vdc.restart_virtual_drone).
+                vdrone.installers[package] = installer
+                installer(app, vdrone.sdk, vdrone)
+        return vdrone
+
+    def fly(self, node: DroneNode, plans: List[FlightPlan],
+            orders: List[Order]) -> Generator:
+        """Fly ``plans`` one after another on ``node``, swapping in a
+        fresh pack between flights, as one simulation-process generator.
+
+        Returns (as the generator's value) every flight's report merged
+        into one.
+        """
+        order_ids = {order.definition.name: order.order_id
+                     for order in orders}
+        report = MissionReport()
         for index, plan in enumerate(plans):
             if index:
                 node.battery.swap_pack()
+                # The next flight takes off after the rest of the landing
+                # tick's events have run.
+                yield Timeout(0)
             runner = MissionRunner(node, plan, portal=self.portal,
                                    order_ids=order_ids)
-            flight_report = runner.execute()
-            if report is None:
-                report = flight_report
-            else:
-                report.merge(flight_report)
+            yield from runner.steps()
+            report.merge(runner.report)
         return report
+
+    def fly_orders(self, orders: List[Order], node: Optional[DroneNode] = None,
+                   resume: bool = False) -> MissionReport:
+        """Service ``orders`` on one drone: :meth:`plan_orders`,
+        :meth:`start_tenant` for each order, boot, then :meth:`fly` to
+        the last landing.
+
+        With ``resume=True``, tenants with a resumable VDR entry are
+        restored from their stored diff instead of a clean image.
+        """
+        if node is None:
+            node = self.fleet[0] if self.fleet else self.add_drone()
+        plans = self.plan_orders(orders, node)
+        for order in orders:
+            self.start_tenant(order, node, resume=resume)
+        node.boot()
+        return Process(self.sim, self.fly(node, plans, orders),
+                       name="fly-orders").join()

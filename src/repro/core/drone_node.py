@@ -198,12 +198,6 @@ class DroneNode:
         self.driver.bind_sim(self.sim)
         self.battery = self.profile.build_battery()
 
-        # --- flight physics first (devices need its state snapshots) ---
-        self._flight_log = flight_log
-        self._pending_sitl_home = home
-        self._sitl_rate_hz = sitl_rate_hz
-        self._use_hal = use_hal_sensors
-
         # --- device container ---
         self.device_container = self.runtime.create(
             "device", "android-things-minimal", DEVICE_CONTAINER_KB)

@@ -131,13 +131,7 @@ class MissionRunner:
 
     def execute(self) -> MissionReport:
         """Run the mission to completion, driving the simulator."""
-        process = self.start_async()
-        sim = self.node.sim
-        while not process.done:
-            if not sim.step():
-                break
-        if process.exception is not None:
-            raise process.exception
+        self.start_async().join()
         return self.report
 
     def _mission_steps(self):

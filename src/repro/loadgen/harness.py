@@ -1,10 +1,12 @@
 """FleetHarness: drive a :class:`FleetScenario` through the real stack.
 
 One shared :class:`~repro.sim.Simulator` hosts F physical drones flying
-*concurrently* (``MissionRunner.steps()`` embedded in one process per
-drone), each multiplexing T virtual drones created through the real
-portal -> planner -> VDC path.  Ground stations and app front-ends hang
-off one shared network so MAVLink telemetry and camera frames cross real
+*concurrently* (``AnDroneSystem.fly`` in one process per drone), each
+multiplexing T virtual drones ordered at the portal and brought up by
+the same ``plan_orders`` / ``start_tenant`` steps as
+``AnDroneSystem.fly_orders``.  Every tenant gets a VFC server and a
+ground station on one shared network, fed by its drone's MavProxy
+telemetry rounds, so MAVLink telemetry and camera frames cross real
 (simulated) links.  A chaos level overlays a deterministic per-drone
 :class:`~repro.faults.FaultPlan`, and an
 :class:`~repro.loadgen.invariants.InvariantMonitor` sweeps the whole
@@ -24,15 +26,13 @@ from typing import Dict, List, Optional
 import repro.obs as obs
 from repro.cloud.admission import AdmissionController
 from repro.cloud.planner import FlightPlanner
-from repro.cloud.portal import PortalBusyError
+from repro.cloud.portal import Order, PortalBusyError
 from repro.core import AnDroneSystem
-from repro.core.mission import MissionReport, MissionRunner
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.flight.geo import offset_geopoint
 from repro.loadgen import abuse, workloads
 from repro.loadgen.invariants import InvariantMonitor, InvariantViolation
 from repro.loadgen.scenario import FleetScenario, WORKLOADS
-from repro.mavproxy.proxy import TelemetryFanout
 from repro.mavproxy.server import GroundStation, VfcServer
 from repro.net.link import wifi
 from repro.net.network import Network
@@ -150,12 +150,11 @@ class _DroneSlot:
 
     index: int
     node: object
-    order_ids: Dict[str, int] = field(default_factory=dict)
+    orders: List[Order] = field(default_factory=list)
     tenants: List[str] = field(default_factory=list)
     plans: List = field(default_factory=list)
-    reports: List[MissionReport] = field(default_factory=list)
+    #: runs ``AnDroneSystem.fly``; its result is the merged flight report.
     process: Optional[Process] = None
-    fanout: Optional[TelemetryFanout] = None
     #: per-tenant telemetry counts frozen the instant the drone's last
     #: flight completes (see FleetHarness._finalize_slot).
     final_counts: Optional[Dict[str, Dict]] = None
@@ -184,7 +183,6 @@ class FleetHarness:
         self.slots: List[_DroneSlot] = []
         self.servers: Dict[str, VfcServer] = {}
         self.stations: Dict[str, GroundStation] = {}
-        self.fanouts: List[TelemetryFanout] = []
         self.injectors: List[FaultInjector] = []
         self.tenant_workload: Dict[str, str] = {}
         self.tenant_drone: Dict[str, int] = {}
@@ -201,6 +199,12 @@ class FleetHarness:
         self.order_storm_report = None
         self._refused: List[TenantStats] = []
         self._publish_apps()
+        for package, installer in workloads.build_installers(
+                scenario, self._attach_frontend).items():
+            self.system.register_app_behavior(package, installer)
+        if "binder-flood" in scenario.attack_mix:
+            self.system.register_app_behavior(
+                abuse.FLOOD_PACKAGE, abuse.flood_installer(scenario))
         if "order-storm" in scenario.attack_mix:
             # Fired before any honest user orders — worst case for the
             # bounded admission queue.
@@ -276,7 +280,7 @@ class FleetHarness:
             self.fabric.protect_node(node)
         slot = _DroneSlot(index=drone_index, node=node)
 
-        orders = []
+        orders = slot.orders
         for t in range(scenario.tenants_per_drone):
             tenant_index = drone_index * scenario.tenants_per_drone + t
             workload = scenario.workload_for(tenant_index)
@@ -302,7 +306,6 @@ class FleetHarness:
                 continue
             orders.append(order)
             tenant = order.definition.name
-            slot.order_ids[tenant] = order.order_id
             slot.tenants.append(tenant)
             self.tenant_workload[tenant] = workload
             self.tenant_drone[tenant] = drone_index
@@ -330,7 +333,6 @@ class FleetHarness:
                     continue
                 orders.append(order)
                 tenant = order.definition.name
-                slot.order_ids[tenant] = order.order_id
                 slot.tenants.append(tenant)
                 self.tenant_workload[tenant] = "binder-flood"
                 self.tenant_drone[tenant] = drone_index
@@ -341,31 +343,10 @@ class FleetHarness:
             cruise_ms=system.planner.cruise_ms,
             rng=system.rng.stream(f"planner.sa.drone{drone_index}"),
             admission=system.planner.admission)
-        slot.plans = planner.plan(
-            [order.definition for order in orders],
-            battery_j=node.battery.remaining_j * 0.8)
-        for order in orders:
-            for plan in slot.plans:
-                try:
-                    window = plan.operating_window(order.definition.name)
-                except KeyError:
-                    continue
-                system.portal.confirm_window(order.order_id, *window)
-                break
-
-        installers = workloads.build_installers(scenario, self._attach_frontend)
-        if "binder-flood" in scenario.attack_mix:
-            installers[abuse.FLOOD_PACKAGE] = abuse.flood_installer(scenario)
-        fanout = TelemetryFanout(system.sim, node.proxy)
+        slot.plans = system.plan_orders(orders, node, planner=planner)
         for order in orders:
             tenant = order.definition.name
-            vdrone = node.start_virtual_drone(
-                order.definition, app_manifests=system._manifests_for(order))
-            for package, app in vdrone.env.apps.items():
-                installer = installers.get(package)
-                if installer is not None:
-                    vdrone.installers[package] = installer
-                    installer(app, vdrone.sdk, vdrone)
+            vdrone = system.start_tenant(order, node)
             session = self.fabric.session_for(tenant) \
                 if self.fabric is not None else None
             server = VfcServer(system.sim, vdrone.vfc, self.network,
@@ -373,17 +354,13 @@ class FleetHarness:
                                link=wifi(),
                                session=session.endpoint_for("vfc")
                                if session is not None else None)
-            fanout.add_server(server)
-            server.start()
             self.servers[tenant] = server
             self.stations[tenant] = GroundStation(
                 system.sim, self.network, f"gcs:{tenant}:14550",
                 f"vfc:{tenant}:5760", link=wifi(),
                 session=session.endpoint_for("gcs")
                 if session is not None else None)
-        fanout.start()
-        self.fanouts.append(fanout)
-        slot.fanout = fanout
+        node.proxy.start_telemetry()
 
         # Network-level attackers pick the drone's first honest tenant.
         victims = [t for t in slot.tenants
@@ -466,16 +443,6 @@ class FleetHarness:
         return plan
 
     # -- execution --------------------------------------------------------------
-    def _flights(self, slot: _DroneSlot):
-        node = slot.node
-        for index, plan in enumerate(slot.plans):
-            if index:
-                node.battery.swap_pack()
-            runner = MissionRunner(node, plan, portal=self.system.portal,
-                                   order_ids=slot.order_ids)
-            slot.reports.append(runner.report)
-            yield from runner.steps()
-
     def run(self) -> FleetResult:
         sim = self.system.sim
         for injector in self.injectors:
@@ -486,8 +453,9 @@ class FleetHarness:
             spammer.start()
         self.monitor.start()
         for slot in self.slots:
-            slot.process = Process(sim, self._flights(slot),
-                                   name=f"fleet-drone{slot.index}")
+            slot.process = Process(
+                sim, self.system.fly(slot.node, slot.plans, slot.orders),
+                name=f"fleet-drone{slot.index}")
         while not all(slot.process.done for slot in self.slots):
             if not sim.step():
                 break
@@ -510,16 +478,15 @@ class FleetHarness:
         """Power down one drone's telemetry the instant its last flight
         completes, freezing its per-tenant counts right there.
 
-        A landed drone's fan-out and VFC servers stop emitting, and the
-        station/frame counts are snapshotted before any later-queued
-        event can touch them — so a drone's stats do not depend on how
-        long the rest of the fleet keeps flying."""
+        A landed drone's telemetry rounds stop, and the station/frame
+        counts are snapshotted before any later-queued event can touch
+        them — so a drone's stats do not depend on how long the rest of
+        the fleet keeps flying."""
         if slot.final_counts is not None:
             return
-        slot.fanout.stop()
+        slot.node.proxy.stop_telemetry()
         counts: Dict[str, Dict] = {}
         for tenant in slot.tenants:
-            self.servers[tenant].stop()
             station = self.stations[tenant]
             counts[tenant] = {
                 "heartbeats": len(station.heartbeats),
@@ -540,19 +507,15 @@ class FleetHarness:
         tenants: Dict[str, TenantStats] = {}
         for slot in self.slots:
             node = slot.node
+            report = slot.process.result
             restarts += sum(node.vdc.restart_counts.values())
-            for report in slot.reports:
-                waypoints += report.waypoints_serviced
-            duration = max(duration,
-                           sum(report.duration_s for report in slot.reports))
-            if slot.final_counts is None:
-                self._finalize_slot(slot)
+            waypoints += report.waypoints_serviced
+            duration = max(duration, report.duration_s)
             for tenant in slot.tenants:
                 drone = node.vdc.drones[tenant]
                 counts = slot.final_counts[tenant]
                 latencies = counts["latencies"]
-                completed = any(tenant in report.tenants_completed
-                                for report in slot.reports)
+                completed = tenant in report.tenants_completed
                 interrupted = drone.force_finished_reason is not None
                 tenants[tenant] = TenantStats(
                     tenant=tenant,

@@ -52,8 +52,9 @@ def x25_crc(data: bytes, crc: int = 0xFFFF) -> int:
 
 def _pack_payload(msg: MavlinkMessage) -> bytes:
     # Messages are value objects (constructed, sent, never mutated), so
-    # the packed payload is memoized on the instance: a telemetry
-    # snapshot shared across a whole fan-out round packs exactly once.
+    # the packed payload is memoized on the instance: the idle and
+    # approaching heartbeats every parked tenant's VFC sends are shared
+    # instances and pack exactly once.
     packed = msg.__dict__.get("_packed_payload")
     if packed is not None:
         return packed

@@ -4,12 +4,14 @@ Holds the single real flight-controller connection (a
 :class:`~repro.flight.sitl.SitlDrone` or the flight container's onboard
 controller), a full-access **master** interface for the cloud flight
 planner and service provider, and a :class:`VirtualFlightController` per
-virtual drone.
+virtual drone.  It also runs the telemetry rounds that stream every
+VFC's virtualized heartbeat and position to its tenant's
+:class:`~repro.mavproxy.server.VfcServer`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import repro.obs as obs
 from repro.flight.geo import GeoPoint
@@ -24,6 +26,10 @@ from repro.mavlink.messages import (
 )
 from repro.mavproxy.vfc import VirtualFlightController
 from repro.mavproxy.whitelist import RestrictionTemplate, TEMPLATES
+
+#: Telemetry periods of the rounds every tenant's VfcServer receives.
+HEARTBEAT_PERIOD_US = 1_000_000
+POSITION_PERIOD_US = 250_000
 
 
 class MavProxy:
@@ -41,14 +47,10 @@ class MavProxy:
         #: (keyed by its container) before processing a tenant message.
         #: None in production — one is-None check when disabled.
         self.rate_guard = None
-        # Telemetry-round snapshot (see TelemetryFanout): while a round is
-        # open at the current sim timestamp, every VFC shares one real
-        # heartbeat/position instead of re-reading the autopilot per
-        # tenant.  Closed (None) outside fan-out rounds, so individually
-        # scheduled servers behave exactly as before.
-        self._round_at_us: Optional[int] = None
-        self._round_heartbeat: Optional[Heartbeat] = None
-        self._round_position: Optional[GlobalPositionInt] = None
+        #: the VfcServers streaming this proxy's telemetry rounds, in
+        #: registration order (each server registers itself).
+        self.servers: List = []
+        self._telemetry_on = False
 
     @property
     def home(self) -> GeoPoint:
@@ -121,36 +123,10 @@ class MavProxy:
                                     + msg.r / 1000.0 * 0.5)
 
     def fc_heartbeat(self) -> Heartbeat:
-        if self._round_at_us == self.sim.now:
-            if self._round_heartbeat is None:
-                self._round_heartbeat = self.drone.autopilot.make_heartbeat()
-            return self._round_heartbeat
         return self.drone.autopilot.make_heartbeat()
 
     def fc_global_position(self) -> GlobalPositionInt:
-        if self._round_at_us == self.sim.now:
-            if self._round_position is None:
-                self._round_position = \
-                    self.drone.autopilot.make_global_position()
-            return self._round_position
         return self.drone.autopilot.make_global_position()
-
-    # -- telemetry rounds (driven by TelemetryFanout) ----------------------------------
-    def begin_telemetry_round(self) -> None:
-        """Open a shared-snapshot window at the current sim timestamp.
-
-        No autopilot state changes inside a fan-out round (the round is a
-        single simulator event), so one heartbeat/position read serves
-        every tenant.
-        """
-        self._round_at_us = self.sim.now
-        self._round_heartbeat = None
-        self._round_position = None
-
-    def end_telemetry_round(self) -> None:
-        self._round_at_us = None
-        self._round_heartbeat = None
-        self._round_position = None
 
     def fc_position(self) -> GeoPoint:
         return self.drone.autopilot.position()
@@ -187,71 +163,34 @@ class MavProxy:
 
         self.sim.after(250_000, poll)
 
+    # -- telemetry rounds ---------------------------------------------------------------
+    def start_telemetry(self) -> None:
+        """Stream telemetry to every registered server: a heartbeat round
+        at 1 Hz and a position round at 4 Hz, the first of each right now.
 
-class TelemetryFanout:
-    """Batched MAVLink telemetry fan-out for many tenants on one drone.
-
-    Self-scheduled :class:`~repro.mavproxy.server.VfcServer` timers cost
-    two simulator events per tenant per period and re-read the autopilot
-    once per tenant.  The fanout replaces them with *two* shared timers
-    for the whole drone: each round opens a proxy telemetry snapshot (one
-    real heartbeat/position read, shared — and, via the codec's payload
-    memo, packed once), emits every registered server's frame, and closes
-    the snapshot.  Adding T tenants adds zero timers.
-
-    Servers added here must not also self-schedule; ``add_server`` marks
-    them fanout-driven so their ``start()`` skips the private timers.
-    """
-
-    def __init__(self, sim, proxy: MavProxy, heartbeat_hz: float = 1.0,
-                 position_hz: float = 4.0):
-        self.sim = sim
-        self.proxy = proxy
-        self.heartbeat_period_us = int(1e6 / heartbeat_hz)
-        self.position_period_us = int(1e6 / position_hz)
-        self._servers: list = []
-        self._running = False
-        self.heartbeat_rounds = 0
-        self.position_rounds = 0
-
-    def add_server(self, server) -> None:
-        server.attach_fanout(self)
-        self._servers.append(server)
-
-    @property
-    def servers(self) -> list:
-        return list(self._servers)
-
-    def start(self) -> None:
-        if self._running:
+        Each round is one simulator event that emits every server's
+        frame in registration order, so adding tenants adds no timers.
+        """
+        if self._telemetry_on:
             return
-        self._running = True
+        self._telemetry_on = True
         self._heartbeat_round()
         self._position_round()
 
-    def stop(self) -> None:
-        self._running = False
+    def stop_telemetry(self) -> None:
+        """No round emits after this; the pending ones fire once and end."""
+        self._telemetry_on = False
 
     def _heartbeat_round(self) -> None:
-        if not self._running:
+        if not self._telemetry_on:
             return
-        self.heartbeat_rounds += 1
-        self.proxy.begin_telemetry_round()
-        try:
-            for server in self._servers:
-                server.emit_heartbeat()
-        finally:
-            self.proxy.end_telemetry_round()
-        self.sim.after(self.heartbeat_period_us, self._heartbeat_round)
+        for server in self.servers:
+            server.emit_heartbeat()
+        self.sim.after(HEARTBEAT_PERIOD_US, self._heartbeat_round)
 
     def _position_round(self) -> None:
-        if not self._running:
+        if not self._telemetry_on:
             return
-        self.position_rounds += 1
-        self.proxy.begin_telemetry_round()
-        try:
-            for server in self._servers:
-                server.emit_position()
-        finally:
-            self.proxy.end_telemetry_round()
-        self.sim.after(self.position_period_us, self._position_round)
+        for server in self.servers:
+            server.emit_position()
+        self.sim.after(POSITION_PERIOD_US, self._position_round)

@@ -6,7 +6,9 @@ a ground station (APM Planner in the paper's Section 6.5 trial) to the
 VFC over the per-container VPN.  :class:`VfcServer` is the drone-side
 endpoint: it decodes MAVLink frames from the tenant, feeds them through
 the VFC's filtering, streams back the *virtualized* telemetry (heartbeat
-at 1 Hz, position at 4 Hz, queued statustexts), and returns command acks.
+at 1 Hz, position at 4 Hz, queued statustexts) in the rounds of the
+:class:`~repro.mavproxy.proxy.MavProxy` it registers on, and returns
+command acks.
 :class:`GroundStation` is the matching client.
 """
 
@@ -34,7 +36,6 @@ class VfcServer:
 
     def __init__(self, sim, vfc: VirtualFlightController, network: Network,
                  local_address: str, remote_address: str, link=None,
-                 heartbeat_hz: float = 1.0, position_hz: float = 4.0,
                  session=None):
         self.sim = sim
         self.vfc = vfc
@@ -42,28 +43,9 @@ class VfcServer:
             network, local_address, remote_address, link, sysid=1,
             session=session)
         self.connection.on_message(self._on_message)
-        self.heartbeat_period_us = int(1e6 / heartbeat_hz)
-        self.position_period_us = int(1e6 / position_hz)
-        self._running = False
-        self._fanout = None
         self.commands_handled = 0
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        if self._fanout is None:
-            # Classic mode: two private timers (unchanged behaviour).  A
-            # fanout-driven server is ticked by the shared rounds instead.
-            self._heartbeat_tick()
-            self._position_tick()
-
-    def stop(self) -> None:
-        self._running = False
-
-    def attach_fanout(self, fanout) -> None:
-        """Hand telemetry scheduling to a shared TelemetryFanout."""
-        self._fanout = fanout
+        # Telemetry is emitted by the proxy's rounds (start_telemetry).
+        vfc.proxy.servers.append(self)
 
     # -- inbound ----------------------------------------------------------------
     def _on_message(self, msg: MavlinkMessage, sysid: int, compid: int) -> None:
@@ -74,29 +56,13 @@ class VfcServer:
                 self.connection.send(reply)
             self._flush_outbox()
 
-    # -- outbound telemetry ------------------------------------------------------
+    # -- outbound telemetry (called by the proxy's rounds) ------------------------
     def emit_heartbeat(self) -> None:
-        if not self._running:
-            return
         self.connection.send(self.vfc.heartbeat())
         self._flush_outbox()
 
     def emit_position(self) -> None:
-        if not self._running:
-            return
         self.connection.send(self.vfc.global_position())
-
-    def _heartbeat_tick(self) -> None:
-        if not self._running:
-            return
-        self.emit_heartbeat()
-        self.sim.after(self.heartbeat_period_us, self._heartbeat_tick)
-
-    def _position_tick(self) -> None:
-        if not self._running:
-            return
-        self.emit_position()
-        self.sim.after(self.position_period_us, self._position_tick)
 
     def _flush_outbox(self) -> None:
         for message in self.vfc.drain_outbox():

@@ -26,7 +26,6 @@ from repro.security.errors import (
 )
 from repro.security.fabric import (
     PLATFORM_CONTAINERS,
-    SecurityConfig,
     SecurityFabric,
 )
 from repro.security.guards import RateGuard
@@ -44,7 +43,6 @@ __all__ = [
     "SecureChannel",
     "SecureEndpoint",
     "SecureFrame",
-    "SecurityConfig",
     "SecurityConfigError",
     "SecurityError",
     "SecurityFabric",

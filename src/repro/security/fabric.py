@@ -16,12 +16,10 @@ before this module existed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.security.anomaly import AnomalyDetector
 from repro.security.channel import TenantSession
-from repro.security.errors import SecurityConfigError
 from repro.security.guards import RateGuard
 from repro.security.simplex import SimplexController
 
@@ -31,61 +29,43 @@ from repro.security.simplex import SimplexController
 PLATFORM_CONTAINERS = ("", "device", "flight", "host")
 
 
-@dataclass
-class SecurityConfig:
-    """Knobs for the guards, channel, and detector (defaults sized for
-    the loadgen scenarios: honest workloads fit comfortably inside every
-    bucket; the flood workloads exceed them within one window)."""
+# Guard, channel and detector settings, sized for the loadgen scenarios:
+# honest workloads fit comfortably inside every bucket; the flood
+# workloads exceed them within one window.
 
-    #: binder transactions per tenant container.
-    binder_rate_per_s: float = 120.0
-    binder_burst: int = 60
-    #: MAVLink commands per tenant VFC connection.
-    mavlink_rate_per_s: float = 10.0
-    mavlink_burst: int = 15
-    #: portal orders per user.
-    order_rate_per_s: float = 0.5
-    order_burst: int = 4
-    #: secure-channel key schedule.
-    rekey_interval_s: float = 20.0
-    replay_window: int = 64
-    #: anomaly detector windowing.
-    anomaly_window_s: float = 1.0
-    anomaly_threshold: int = 10
-    sustain_windows: int = 2
-    clear_windows: int = 3
-
-    def validate(self) -> None:
-        for name in ("binder_rate_per_s", "mavlink_rate_per_s",
-                     "order_rate_per_s", "rekey_interval_s",
-                     "anomaly_window_s"):
-            if getattr(self, name) <= 0:
-                raise SecurityConfigError(f"{name} must be positive")
-        for name in ("binder_burst", "mavlink_burst", "order_burst",
-                     "replay_window", "anomaly_threshold",
-                     "sustain_windows", "clear_windows"):
-            if getattr(self, name) < 1:
-                raise SecurityConfigError(f"{name} must be >= 1")
+#: binder transactions per tenant container.
+BINDER_RATE_PER_S = 120.0
+BINDER_BURST = 60
+#: MAVLink commands per tenant VFC connection.
+MAVLINK_RATE_PER_S = 10.0
+MAVLINK_BURST = 15
+#: portal orders per user.
+ORDER_RATE_PER_S = 0.5
+ORDER_BURST = 4
+#: secure-channel key schedule.
+REKEY_INTERVAL_S = 20.0
+REPLAY_WINDOW = 64
+#: anomaly detector windowing.
+ANOMALY_WINDOW_S = 1.0
+ANOMALY_THRESHOLD = 10
+SUSTAIN_WINDOWS = 2
+CLEAR_WINDOWS = 3
 
 
 class SecurityFabric:
     """Build and hold every security component for one fleet run."""
 
-    def __init__(self, sim, seed: int = 0, config: SecurityConfig = None):
+    def __init__(self, sim, seed: int = 0):
         self.sim = sim
         self.seed = seed
-        self.config = config or SecurityConfig()
-        self.config.validate()
         clock = lambda: sim.now / 1e6  # noqa: E731
         self._clock = clock
         self.detector = AnomalyDetector(
-            sim, window_s=self.config.anomaly_window_s,
-            threshold=self.config.anomaly_threshold,
-            sustain_windows=self.config.sustain_windows,
-            clear_windows=self.config.clear_windows)
+            sim, window_s=ANOMALY_WINDOW_S, threshold=ANOMALY_THRESHOLD,
+            sustain_windows=SUSTAIN_WINDOWS, clear_windows=CLEAR_WINDOWS)
         self.order_guard = RateGuard(
-            clock, edge="order", rate_per_s=self.config.order_rate_per_s,
-            burst=self.config.order_burst, detector=self.detector)
+            clock, edge="order", rate_per_s=ORDER_RATE_PER_S,
+            burst=ORDER_BURST, detector=self.detector)
         self.simplexes: List[SimplexController] = []
         self.sessions: Dict[str, TenantSession] = {}
         self._node_guards: List[RateGuard] = []
@@ -101,14 +81,13 @@ class SecurityFabric:
     def protect_node(self, node) -> SimplexController:
         """Guard one drone node's binder and MAVLink edges and attach a
         simplex safety controller for its tenants."""
-        config = self.config
         binder_guard = RateGuard(
             self._clock, edge="binder",
-            rate_per_s=config.binder_rate_per_s, burst=config.binder_burst,
+            rate_per_s=BINDER_RATE_PER_S, burst=BINDER_BURST,
             exempt=PLATFORM_CONTAINERS, detector=self.detector)
         mavlink_guard = RateGuard(
             self._clock, edge="mavlink",
-            rate_per_s=config.mavlink_rate_per_s, burst=config.mavlink_burst,
+            rate_per_s=MAVLINK_RATE_PER_S, burst=MAVLINK_BURST,
             detector=self.detector)
         node.driver.rate_guard = binder_guard
         node.proxy.rate_guard = mavlink_guard
@@ -127,8 +106,8 @@ class SecurityFabric:
         if session is None:
             session = TenantSession(
                 secret=f"andrones3cret:{self.seed}:{tenant}", tenant=tenant,
-                rekey_interval_s=self.config.rekey_interval_s,
-                replay_window=self.config.replay_window,
+                rekey_interval_s=REKEY_INTERVAL_S,
+                replay_window=REPLAY_WINDOW,
                 detector=self.detector)
             if self._started:
                 session.start(self.sim)

@@ -102,6 +102,16 @@ class Process:
         else:
             raise TypeError(f"process {self.name!r} yielded {waited!r}")
 
+    def join(self) -> Any:
+        """Step the simulator until this process finishes (or nothing is
+        left to run); re-raise its exception, else return its result."""
+        while not self.done:
+            if not self._sim.step():
+                break
+        if self.exception is not None:
+            raise self.exception
+        return self.result
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "running"
         return f"<Process {self.name!r} {state}>"

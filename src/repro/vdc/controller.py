@@ -26,6 +26,9 @@ from repro.vdc.device_access import DeviceAccessPolicy, TenantPhase
 #: Memory footprint of one Android Things virtual drone (Section 6.3).
 VDRONE_MEMORY_KB = 185 * 1024
 
+#: Restriction template of a tenant created without one.
+DEFAULT_TEMPLATE = TEMPLATES["standard"]
+
 
 class UnknownTenantError(KeyError):
     """A VDC operation named a tenant that does not exist.
@@ -115,7 +118,6 @@ class VirtualDroneController:
         base_image_tag: str = "android-things",
         vdr=None,
         cloud_storage=None,
-        default_template: Optional[RestrictionTemplate] = None,
     ):
         self.sim = sim
         self.kernel = kernel
@@ -127,7 +129,6 @@ class VirtualDroneController:
         self.base_image_tag = base_image_tag
         self.vdr = vdr
         self.cloud_storage = cloud_storage
-        self.default_template = default_template or TEMPLATES["standard"]
         self.policy = DeviceAccessPolicy()
         device_env.permission_hook = self.policy.allows
         self.drones: Dict[str, VirtualDrone] = {}
@@ -171,12 +172,7 @@ class VirtualDroneController:
         else:
             container = self.runtime.create(name, self.base_image_tag, VDRONE_MEMORY_KB)
         container.start()
-        env = AndroidEnvironment(self.driver, name, container.namespaces.device_ns)
-        env.retry_am_forwarding()
-        self._wire_permission_cache(env)
-        self.device_env.service_manager.publish_shared_into(
-            container.namespaces.device_ns, self.driver)
-        env.system_server.start()
+        env = self._tenant_environment(container)
         # Install the definition's apps.
         for package in definition.apps:
             manifests = (app_manifests or {}).get(package)
@@ -187,27 +183,14 @@ class VirtualDroneController:
             container.write_file(f"/data/app/{package}.apk", f"apk:{package}")
             app.create()
             app.resume()
-        sdk = AndroneSdk(name, self,
-                         flight_controller_ip="10.99.0.2:5760",
-                         intent_bus=env.intents)
-        vfc = self.proxy.create_vfc(
-            name,
-            template or self.default_template,
-            waypoint=definition.waypoints[0].geopoint(),
-            continuous_view=bool(definition.continuous_devices),
-        )
-        drone = VirtualDrone(definition, container, env, sdk, vfc)
-        drone.energy_baseline_j = self.battery.drawn_by(name)
+        drone = self._register_drone(definition, container, env, template)
         if completed_waypoints:
             # Resumed flight: skip waypoints already serviced; anchor the
             # idle view at the next remaining one.
             drone.completed = set(completed_waypoints)
             remaining = drone.next_unvisited()
             if remaining is not None:
-                vfc.waypoint = definition.waypoints[remaining].geopoint()
-        self.drones[name] = drone
-        self.policy.register(name, definition)
-        drone._tenant_span = obs.span("vdc.tenant", tenant=name)
+                drone.vfc.waypoint = definition.waypoints[remaining].geopoint()
         obs.event("vdc.tenant_created", tenant=name,
                   apps=len(definition.apps),
                   waypoints=len(definition.waypoints),
@@ -220,15 +203,51 @@ class VirtualDroneController:
             self._enforcement_tick()
         return drone
 
-    def _wire_permission_cache(self, env: AndroidEnvironment) -> None:
-        """Connect a tenant AM's grant changes to the device container's
-        permission-cache invalidation (see PermissionCache)."""
+    def _tenant_environment(self, container) -> AndroidEnvironment:
+        """Build a started tenant container's Android environment; create,
+        restart and restore all come through here.
+
+        The tenant's ActivityManager is forwarded to the device container,
+        and its grant changes invalidate the device container's permission
+        cache.  The environment assigns fresh uids, so cached answers for
+        an earlier instance of the container are dropped first.  The
+        device container's shared services are then published into the
+        tenant's namespace.
+        """
+        name = container.name
+        env = AndroidEnvironment(self.driver, name,
+                                 container.namespaces.device_ns)
+        env.retry_am_forwarding()
         cache = self.device_env.permission_cache
-        if cache is None:
-            return
-        container = env.container_name
         env.activity_manager.on_permissions_changed = \
-            lambda uids: cache.invalidate_uids(container, uids)
+            lambda uids: cache.invalidate_uids(name, uids)
+        cache.invalidate_container(name)
+        self.device_env.service_manager.publish_shared_into(
+            container.namespaces.device_ns, self.driver)
+        env.system_server.start()
+        return env
+
+    def _register_drone(self, definition: VirtualDroneDefinition, container,
+                        env: AndroidEnvironment,
+                        template: Optional[RestrictionTemplate]) -> VirtualDrone:
+        """Give a created or restored tenant its SDK, VFC and allotment
+        baseline, and enter it in the tenant table and the device policy."""
+        name = container.name
+        sdk = AndroneSdk(name, self,
+                         flight_controller_ip="10.99.0.2:5760",
+                         intent_bus=env.intents)
+        vfc = self.proxy.create_vfc(
+            name,
+            template or DEFAULT_TEMPLATE,
+            waypoint=definition.waypoints[0].geopoint(),
+            continuous_view=bool(definition.continuous_devices),
+        )
+        drone = VirtualDrone(definition, container, env, sdk, vfc)
+        drone.energy_baseline_j = self.battery.drawn_by(name)
+        self.drones[name] = drone
+        self.policy.register(name, definition)
+        drone._tenant_span = obs.span("vdc.tenant", tenant=name)
+        return drone
 
     def get(self, name: str) -> VirtualDrone:
         return self._drone(name)
@@ -504,24 +523,9 @@ class VirtualDroneController:
         if image is None:
             raise CheckpointMissingError(name)
 
-        def env_factory(container):
-            env = AndroidEnvironment(self.driver, container.name,
-                                     container.namespaces.device_ns)
-            env.retry_am_forwarding()
-            self._wire_permission_cache(env)
-            # The rebuilt environment assigns fresh uids; stale entries
-            # for the old instances must not outlive them.
-            if self.device_env.permission_cache is not None:
-                self.device_env.permission_cache.invalidate_container(
-                    container.name)
-            self.device_env.service_manager.publish_shared_into(
-                container.namespaces.device_ns, self.driver)
-            env.system_server.start()
-            return env
-
         self.runtime.remove(name)
-        container, env = restore_container(image, self.runtime, env_factory,
-                                           VDRONE_MEMORY_KB)
+        container, env = restore_container(
+            image, self.runtime, self._tenant_environment, VDRONE_MEMORY_KB)
         drone.container = container
         drone.env = env
         # Pre-crash app instances are gone: drop their listeners, rewire
@@ -598,38 +602,10 @@ class VirtualDroneController:
         """Restore a checkpointed virtual drone onto this drone."""
         from repro.containers.checkpoint import restore_container
 
-        def env_factory(container):
-            env = AndroidEnvironment(self.driver, container.name,
-                                     container.namespaces.device_ns)
-            env.retry_am_forwarding()
-            self._wire_permission_cache(env)
-            # The rebuilt environment assigns fresh uids; stale entries
-            # for the old instances must not outlive them.
-            if self.device_env.permission_cache is not None:
-                self.device_env.permission_cache.invalidate_container(
-                    container.name)
-            self.device_env.service_manager.publish_shared_into(
-                container.namespaces.device_ns, self.driver)
-            env.system_server.start()
-            return env
-
-        container, env = restore_container(image, self.runtime, env_factory,
-                                           VDRONE_MEMORY_KB)
-        sdk = AndroneSdk(image.container_name, self,
-                         flight_controller_ip="10.99.0.2:5760")
-        vfc = self.proxy.create_vfc(
-            image.container_name,
-            template or self.default_template,
-            waypoint=definition.waypoints[0].geopoint(),
-            continuous_view=bool(definition.continuous_devices),
-        )
-        drone = VirtualDrone(definition, container, env, sdk, vfc)
-        drone.energy_baseline_j = self.battery.drawn_by(image.container_name)
-        self.drones[image.container_name] = drone
-        self.policy.register(image.container_name, definition)
-        drone._tenant_span = obs.span("vdc.tenant",
-                                      tenant=image.container_name)
-        obs.event("vdc.tenant_restored", tenant=image.container_name)
+        container, env = restore_container(
+            image, self.runtime, self._tenant_environment, VDRONE_MEMORY_KB)
+        drone = self._register_drone(definition, container, env, template)
+        obs.event("vdc.tenant_restored", tenant=container.name)
         obs.gauge("vdc.tenants").set(len(self.drones))
         return drone
 

@@ -27,7 +27,7 @@ def rig():
                        loopback())
     gcs = GroundStation(sim, network, "user:14550", "10.99.1.2:5760",
                         loopback())
-    server.start()
+    proxy.start_telemetry()
     return sim, drone, proxy, vfc, server, gcs
 
 
@@ -110,7 +110,7 @@ class TestOverCellular:
                            "phone:14550", cellular_lte())
         gcs = GroundStation(sim, network, "phone:14550", "10.99.1.2:5760",
                             cellular_lte())
-        server.start()
+        proxy.start_telemetry()
         fly_to_waypoint(sim, drone)
         vfc.activate(Geofence(center=WAYPOINT, radius_m=30.0))
         sent_at = sim.now
