@@ -164,8 +164,8 @@ def run_chaos_mission(seed: int = 42, verbose: bool = True):
 
     # The tenant's ground station, so link faults hit real MAVLink traffic.
     network = Network(system.sim, system.rng)
-    server = VfcServer(system.sim, vdrone.vfc, network,
-                       "10.99.1.2:5760", "user:14550", link=wifi())
+    server = VfcServer(vdrone.vfc, network, "10.99.1.2:5760", "user:14550",
+                       link=wifi())
     node.proxy.start_telemetry()
 
     plan = build_fault_plan(seed, tenant=name)

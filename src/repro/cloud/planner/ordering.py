@@ -25,19 +25,11 @@ unconstrained tenants still interleave freely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set
 
 from repro.cloud.planner.energy import DroneEnergyModel
-from repro.cloud.planner.vrp import (
-    InfeasibleStopError,
-    Route,
-    Stop,
-    _cost,
-    nearest_neighbor_routes,
-    split_into_routes,
-)
+from repro.cloud.planner.vrp import Route, Stop, _anneal
 from repro.flight.geo import GeoPoint
 
 
@@ -133,45 +125,6 @@ def solve_vrp_constrained(
     iterations: int = 4_000,
 ) -> List[Route]:
     """The SA solver with ordering/grouping repair after each move."""
-    if not stops:
-        return []
-    import random as _random
-
-    rng = rng or _random.Random(0)
-    order = [s for route in nearest_neighbor_routes(
-        depot, list(stops), model, battery_j, cruise_ms) for s in route.stops]
-    order = repair_tour(order, constraints)
-
-    def evaluate(candidate: List[Stop]):
-        routes = split_into_routes(depot, candidate, model, battery_j, cruise_ms)
-        return _cost(routes, fleet_size), routes
-
-    cost, routes = evaluate(order)
-    best_cost, best_routes = cost, routes
-    n = len(order)
-    if n < 2:
-        return routes
-    temperature = max(60.0, cost * 0.1)
-    cooling = (0.01 / temperature) ** (1.0 / max(1, iterations))
-    for _ in range(iterations):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        candidate = list(order)
-        if rng.random() < 0.5:
-            candidate[i], candidate[j] = candidate[j], candidate[i]
-        else:
-            stop = candidate.pop(i)
-            candidate.insert(j, stop)
-        candidate = repair_tour(candidate, constraints)
-        try:
-            cand_cost, cand_routes = evaluate(candidate)
-        except InfeasibleStopError:
-            continue
-        delta = cand_cost - cost
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-            order, cost, routes = candidate, cand_cost, cand_routes
-            if cost < best_cost:
-                best_cost, best_routes = cost, routes
-        temperature *= cooling
-    return best_routes
+    return _anneal(depot, stops, model, battery_j, fleet_size, cruise_ms,
+                   rng, iterations,
+                   repair=lambda tour: repair_tour(tour, constraints))

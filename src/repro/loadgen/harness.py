@@ -349,7 +349,7 @@ class FleetHarness:
             vdrone = system.start_tenant(order, node)
             session = self.fabric.session_for(tenant) \
                 if self.fabric is not None else None
-            server = VfcServer(system.sim, vdrone.vfc, self.network,
+            server = VfcServer(vdrone.vfc, self.network,
                                f"vfc:{tenant}:5760", f"gcs:{tenant}:14550",
                                link=wifi(),
                                session=session.endpoint_for("vfc")

@@ -34,10 +34,9 @@ from repro.net.network import Network
 class VfcServer:
     """Serves one tenant's VFC over the simulated network."""
 
-    def __init__(self, sim, vfc: VirtualFlightController, network: Network,
+    def __init__(self, vfc: VirtualFlightController, network: Network,
                  local_address: str, remote_address: str, link=None,
                  session=None):
-        self.sim = sim
         self.vfc = vfc
         self.connection = MavlinkConnection(
             network, local_address, remote_address, link, sysid=1,

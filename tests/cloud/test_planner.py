@@ -7,12 +7,14 @@ import pytest
 from repro.cloud.planner import (
     DroneEnergyModel,
     FlightPlanner,
+    OrderingConstraints,
     Stop,
     nearest_neighbor_routes,
     solve_vrp,
+    solve_vrp_constrained,
 )
 from repro.cloud.planner.vrp import InfeasibleStopError, split_into_routes
-from repro.flight.geo import offset_geopoint
+from repro.flight.geo import GeoPoint, offset_geopoint
 from tests.util import HOME, simple_definition
 
 
@@ -114,6 +116,48 @@ class TestVrp:
 
     def test_empty_input(self):
         assert solve_vrp(HOME, [], MODEL, 1e5) == []
+
+
+class TestSolveWork:
+    """One solve computes each leg once, not once per annealing move."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"cruise_power_w": 0, "distance_to": 0}
+        real_power = DroneEnergyModel.cruise_power_w
+        real_distance = GeoPoint.distance_to
+
+        def counting_power(model, speed_ms, payload_kg=0.0):
+            calls["cruise_power_w"] += 1
+            return real_power(model, speed_ms, payload_kg)
+
+        def counting_distance(point, other):
+            calls["distance_to"] += 1
+            return real_distance(point, other)
+
+        monkeypatch.setattr(DroneEnergyModel, "cruise_power_w", counting_power)
+        monkeypatch.setattr(GeoPoint, "distance_to", counting_distance)
+        return calls
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_power_once_and_each_leg_measured_once(self, calls, constrained):
+        n = 9
+        stops = [Stop(f"vd{k % 3}#{k // 3}", s.location, s.service_energy_j,
+                      s.service_time_s)
+                 for k, s in enumerate(stops_grid(n, service_j=25_000.0))]
+        if constrained:
+            routes = solve_vrp_constrained(
+                HOME, stops, MODEL, 90_000.0,
+                OrderingConstraints.of(ordered=["vd0"], grouped=["vd1"]),
+                rng=random.Random(1), iterations=500)
+        else:
+            routes = solve_vrp(HOME, stops, MODEL, battery_j=90_000.0,
+                               rng=random.Random(1), iterations=500)
+        assert len(routes) > 1
+        assert calls["cruise_power_w"] == 1
+        # Every ordered leg between the depot and the stops, plus the
+        # nearest-neighbour seed tour's own scan.
+        assert calls["distance_to"] <= (n + 1) ** 2 + n * (n + 1) // 2
 
 
 class TestFlightPlanner:

@@ -45,8 +45,7 @@ def build(servers: int):
         vfc = proxy.create_vfc(f"tenant{i}", STANDARD,
                                waypoint=offset_geopoint(HOME, east=20.0 * i,
                                                         north=10.0, up=15.0))
-        VfcServer(sim, vfc, network, f"vfc{i}:5760", f"gcs{i}:14550",
-                  loopback())
+        VfcServer(vfc, network, f"vfc{i}:5760", f"gcs{i}:14550", loopback())
         stations.append(GroundStation(sim, network, f"gcs{i}:14550",
                                       f"vfc{i}:5760", loopback()))
     return sim, proxy, stations

@@ -23,7 +23,7 @@ def rig():
     proxy = MavProxy(sim, drone)
     network = Network(sim, RngRegistry(56))
     vfc = proxy.create_vfc("tenant", STANDARD, waypoint=WAYPOINT)
-    server = VfcServer(sim, vfc, network, "10.99.1.2:5760", "user:14550",
+    server = VfcServer(vfc, network, "10.99.1.2:5760", "user:14550",
                        loopback())
     gcs = GroundStation(sim, network, "user:14550", "10.99.1.2:5760",
                         loopback())
@@ -106,8 +106,8 @@ class TestOverCellular:
         proxy = MavProxy(sim, drone)
         network = Network(sim, RngRegistry(58))
         vfc = proxy.create_vfc("tenant", STANDARD, waypoint=WAYPOINT)
-        server = VfcServer(sim, vfc, network, "10.99.1.2:5760",
-                           "phone:14550", cellular_lte())
+        server = VfcServer(vfc, network, "10.99.1.2:5760", "phone:14550",
+                           cellular_lte())
         gcs = GroundStation(sim, network, "phone:14550", "10.99.1.2:5760",
                             cellular_lte())
         proxy.start_telemetry()
