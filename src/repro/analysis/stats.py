@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.obs.metrics import percentile
+
 
 @dataclass
 class Summary:
@@ -23,19 +25,6 @@ class Summary:
                 f"p99={self.p99:.2f} max={self.maximum:.2f}")
 
 
-def _percentile(ordered: Sequence[float], p: float) -> float:
-    if not ordered:
-        return 0.0
-    k = (len(ordered) - 1) * p / 100.0
-    lo = math.floor(k)
-    hi = math.ceil(k)
-    if lo == hi:
-        return ordered[int(k)]
-    value = ordered[lo] * (hi - k) + ordered[hi] * (k - lo)
-    # Interpolation can overshoot its bracket by one ulp; clamp.
-    return min(max(value, ordered[lo]), ordered[hi])
-
-
 def summarize(samples: Sequence[float]) -> Summary:
     """Full summary of a sample list (empty lists allowed)."""
     if not samples:
@@ -49,7 +38,7 @@ def summarize(samples: Sequence[float]) -> Summary:
         mean=mean,
         stddev=math.sqrt(variance),
         minimum=ordered[0],
-        p50=_percentile(ordered, 50),
-        p99=_percentile(ordered, 99),
+        p50=percentile(ordered, 50),
+        p99=percentile(ordered, 99),
         maximum=ordered[-1],
     )

@@ -350,6 +350,21 @@ class BinderDriver:
         return sum(1 for n in self._context_managers.values() if not n.dead)
 
     # -- AnDrone ioctls ----------------------------------------------------------
+    @staticmethod
+    def _register(manager: BinderNode, name: str, node: BinderNode,
+                  caller: BinderProcess) -> None:
+        """Install a ref to ``node`` in ``manager``'s process and make the
+        ServiceManager ``register`` call under ``name`` on ``caller``'s
+        behalf."""
+        handle = manager.owner._install_ref(node)
+        manager.handler(Transaction(
+            code="register",
+            data={"name": name, "service": handle},
+            calling_pid=caller.pid,
+            calling_euid=caller.euid,
+            calling_container=caller.container,
+        ))
+
     def _publish_to_all_ns(self, caller: BinderProcess, name: str, node: BinderNode) -> int:
         if caller.container != self.device_container_name:
             obs.counter("binder.publish_denied", ioctl="publish_to_all_ns",
@@ -363,14 +378,7 @@ class BinderDriver:
                 continue
             # The presence of a ServiceManager identifies the namespace as a
             # running virtual drone; make the registration call into it.
-            handle = manager.owner._install_ref(node)
-            manager.handler(Transaction(
-                code="register",
-                data={"name": name, "service": handle},
-                calling_pid=caller.pid,
-                calling_euid=caller.euid,
-                calling_container=caller.container,
-            ))
+            self._register(manager, name, node, caller)
             published += 1
         obs.event("binder.publish", ioctl="publish_to_all_ns", name=name,
                   namespaces=published)
@@ -383,14 +391,7 @@ class BinderDriver:
         if manager is None or manager.dead:
             raise BinderError("device container context manager is dead")
         scoped_name = f"{name}@{caller.container}"
-        handle = manager.owner._install_ref(node)
-        manager.handler(Transaction(
-            code="register",
-            data={"name": scoped_name, "service": handle},
-            calling_pid=caller.pid,
-            calling_euid=caller.euid,
-            calling_container=caller.container,
-        ))
+        self._register(manager, scoped_name, node, caller)
         obs.event("binder.publish", ioctl="publish_to_dev_con",
                   name=scoped_name, container=caller.container)
         return scoped_name
@@ -407,14 +408,7 @@ class BinderDriver:
         manager = self._context_managers.get(ns.ns_id)
         if manager is None or manager.dead:
             return False
-        handle = manager.owner._install_ref(node)
-        manager.handler(Transaction(
-            code="register",
-            data={"name": name, "service": handle},
-            calling_pid=caller.pid,
-            calling_euid=caller.euid,
-            calling_container=caller.container,
-        ))
+        self._register(manager, name, node, caller)
         obs.event("binder.publish", ioctl="publish_to_namespace", name=name,
                   ns=ns.label or str(ns.ns_id))
         return True

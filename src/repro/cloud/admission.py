@@ -1,36 +1,26 @@
-"""Admission control for the cloud tier: bounded queues + rate limits.
+"""Admission control for the cloud tier: a bounded pending queue.
 
-The portal and the flight planner are the cloud service's front doors.
-Under fleet-scale load — many shards of a partitioned fleet hammering
-the same service concurrently — an unguarded front door turns into an
-unbounded queue, so both components take an optional
-:class:`AdmissionController` that enforces
-
-* a **bounded pending-request queue** (``max_pending``): once the
-  service has that much un-finished work, new requests are refused;
-* a **per-key token bucket** (``rate_per_s`` with ``burst`` capacity,
-  enforced only when a positive rate is configured): each tenant/user
-  gets ``burst`` immediate requests, then is throttled to the steady
-  rate.
+The portal is the cloud service's front door.  Under fleet-scale load
+an unguarded front door turns into an unbounded queue, so the portal
+takes an optional :class:`AdmissionController` that enforces a
+**bounded pending-request queue** (``max_pending``): once the service
+has that much un-finished work, new requests are refused.  Per-user
+rate limits live at the order edge, in the controller's optional
+``abuse_guard`` (a :class:`~repro.security.guards.RateGuard`).
 
 Refusals are *typed* (:class:`BusyError`, surfaced by the portal as
 ``PortalBusyError``) and carry ``retry_after_s`` — the earliest time at
 which retrying can succeed — so callers back off deterministically
 instead of spinning.
-
-Time comes from an injected ``clock`` callable returning **seconds**
-(normally ``lambda: sim.now / 1e6``); with no clock the controller is
-purely burst/queue based, which is what the deterministic harness uses
-at construction time (the sim clock has not started ticking yet).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 
 class AdmissionConfigError(ValueError):
-    """Invalid controller configuration (queue bound or burst < 1).
+    """Invalid controller configuration (queue bound < 1).
     Subclasses ``ValueError`` so callers that caught the bare error this
     used to surface as keep working."""
 
@@ -44,20 +34,13 @@ class BusyError(RuntimeError):
 
 
 class AdmissionController:
-    """Token-bucket rate limiting plus a bounded pending-work queue."""
+    """A bounded pending-work queue."""
 
-    def __init__(self, max_pending: Optional[int] = None,
-                 rate_per_s: float = 0.0, burst: int = 8,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, max_pending: Optional[int] = None):
         if max_pending is not None and max_pending < 1:
             raise AdmissionConfigError(
                 f"max_pending must be >= 1, got {max_pending}")
-        if burst < 1:
-            raise AdmissionConfigError(f"burst must be >= 1, got {burst}")
         self.max_pending = max_pending
-        self.rate_per_s = rate_per_s
-        self.burst = burst
-        self.clock = clock
         #: abuse hardening: an optional per-tenant
         #: :class:`~repro.security.guards.RateGuard` consulted *before*
         #: the pending-queue check, so a flood of bogus orders is refused
@@ -68,13 +51,8 @@ class AdmissionController:
         self.pending = 0
         self.admitted = 0
         self.rejected = 0
-        self._tokens: Dict[str, float] = {}
-        self._last_refill: Dict[str, float] = {}
 
     # -- the gate -------------------------------------------------------------
-    def _now(self) -> float:
-        return self.clock() if self.clock is not None else 0.0
-
     def admit(self, key: str = "") -> None:
         """Admit one request for ``key`` or raise :class:`BusyError`.
 
@@ -85,27 +63,10 @@ class AdmissionController:
         if self.max_pending is not None and self.pending >= self.max_pending:
             self.rejected += 1
             # The queue drains as in-flight work completes; with no
-            # completion-time model, one steady-rate interval (or 1 s)
-            # is the deterministic retry hint.
-            hint = 1.0 / self.rate_per_s if self.rate_per_s > 0 else 1.0
+            # completion-time model, 1 s is the deterministic retry hint.
             raise BusyError(
                 f"request queue full ({self.pending}/{self.max_pending} "
-                f"pending)", retry_after_s=hint)
-        if self.rate_per_s > 0:
-            now = self._now()
-            tokens = self._tokens.get(key, float(self.burst))
-            elapsed = now - self._last_refill.get(key, now)
-            tokens = min(float(self.burst),
-                         tokens + elapsed * self.rate_per_s)
-            self._last_refill[key] = now
-            if tokens < 1.0:
-                self.rejected += 1
-                hint = (1.0 - tokens) / self.rate_per_s
-                raise BusyError(
-                    f"rate limit for {key!r}: {self.rate_per_s:.1f}/s "
-                    f"(burst {self.burst}) exceeded",
-                    retry_after_s=hint)
-            self._tokens[key] = tokens - 1.0
+                f"pending)", retry_after_s=1.0)
         self.pending += 1
         self.admitted += 1
 

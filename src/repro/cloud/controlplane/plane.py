@@ -84,8 +84,7 @@ class CityControlPlane:
 
     def __init__(self, sim, specs: List[DroneSpec], shard_count: int = 4,
                  placer: Union[str, PlacementPolicy] = "binpack",
-                 max_pending: int = 32, rate_per_s: float = 0.0,
-                 burst: int = 8, vnodes: int = 64,
+                 max_pending: int = 32, vnodes: int = 64,
                  dispatch_delay_s: float = 5.0,
                  flight_overhead_s: float = 30.0,
                  service_fraction: float = 0.25,
@@ -102,8 +101,7 @@ class CityControlPlane:
                 f"service_fraction must be positive, got {service_fraction}")
         self.sim = sim
         self.shards = [
-            ControlPlaneShard(f"shard-{i}", i, sim, max_pending=max_pending,
-                              rate_per_s=rate_per_s, burst=burst)
+            ControlPlaneShard(f"shard-{i}", i, max_pending=max_pending)
             for i in range(shard_count)
         ]
         self._shards_by_id = {shard.shard_id: shard for shard in self.shards}

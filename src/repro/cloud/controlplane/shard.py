@@ -34,17 +34,13 @@ ORDER_STRIDE = 1_000_000
 class ControlPlaneShard:
     """A single shard worker of the sharded control plane."""
 
-    def __init__(self, shard_id: str, index: int, sim,
-                 max_pending: int = 32, rate_per_s: float = 0.0,
-                 burst: int = 8):
+    def __init__(self, shard_id: str, index: int, max_pending: int = 32):
         if index < 0:
             raise ControlPlaneConfigError(
                 f"shard index must be >= 0, got {index}")
         self.shard_id = shard_id
         self.index = index
-        self.admission = AdmissionController(
-            max_pending=max_pending, rate_per_s=rate_per_s, burst=burst,
-            clock=lambda: sim.now / 1e6)
+        self.admission = AdmissionController(max_pending=max_pending)
         self.portal = WebPortal(AppStore(), BillingService(),
                                 admission=self.admission)
         self.portal.seek_order_ids(index * ORDER_STRIDE + 1)

@@ -12,12 +12,7 @@ allocated for virtual drones at their waypoints" (Section 4).
 from repro.cloud.planner.energy import DroneEnergyModel
 from repro.cloud.planner.vrp import Stop, Route, solve_vrp, nearest_neighbor_routes
 from repro.cloud.planner.ordering import OrderingConstraints, solve_vrp_constrained
-from repro.cloud.planner.flight_plan import (
-    FlightPlan,
-    FlightPlanner,
-    PlannedStop,
-    PlannerBusyError,
-)
+from repro.cloud.planner.flight_plan import FlightPlan, FlightPlanner, PlannedStop
 
 __all__ = [
     "DroneEnergyModel",
@@ -30,5 +25,4 @@ __all__ = [
     "FlightPlan",
     "FlightPlanner",
     "PlannedStop",
-    "PlannerBusyError",
 ]

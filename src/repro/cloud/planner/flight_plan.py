@@ -70,28 +70,16 @@ class FlightPlan:
         return min(t[0] for t in times), max(t[1] for t in times)
 
 
-class PlannerBusyError(RuntimeError):
-    """The planner is at capacity; retry after ``retry_after_s``."""
-
-    def __init__(self, message: str, retry_after_s: float):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
 class FlightPlanner:
     """The cloud flight planner component."""
 
     def __init__(self, home: GeoPoint, model: Optional[DroneEnergyModel] = None,
-                 fleet_size: int = 1, cruise_ms: float = 8.0, rng=None,
-                 admission=None):
+                 fleet_size: int = 1, cruise_ms: float = 8.0, rng=None):
         self.home = home
         self.model = model or DroneEnergyModel()
         self.fleet_size = fleet_size
         self.cruise_ms = cruise_ms
         self.rng = rng
-        #: optional :class:`~repro.cloud.admission.AdmissionController`;
-        #: each plan() request must clear it (bounded planning queue).
-        self.admission = admission
 
     def _stops_for(self, definitions: Sequence[VirtualDroneDefinition]) -> List[Stop]:
         stops = []
@@ -116,30 +104,7 @@ class FlightPlanner:
         OrderingConstraints`) enables the ordering/grouping extension —
         the paper's stated future work; by default waypoints are treated
         independently, exactly as in the paper.
-
-        With an admission controller attached, a full planning queue
-        raises :class:`PlannerBusyError` with a retry hint instead of
-        queueing without bound.
         """
-        if self.admission is not None:
-            from repro.cloud.admission import BusyError
-
-            try:
-                self.admission.admit("planner")
-            except BusyError as busy:
-                raise PlannerBusyError(
-                    str(busy), retry_after_s=busy.retry_after_s) from busy
-            try:
-                return self._plan(definitions, battery_j, constraints)
-            finally:
-                # Planning is synchronous: the queue slot frees when the
-                # solve returns.
-                self.admission.release()
-        return self._plan(definitions, battery_j, constraints)
-
-    def _plan(self, definitions: Sequence[VirtualDroneDefinition],
-              battery_j: Optional[float] = None,
-              constraints=None) -> List[FlightPlan]:
         stops = self._stops_for(definitions)
         budget = battery_j if battery_j is not None else self.model.battery_capacity_j
         if constraints is not None and not constraints.empty:

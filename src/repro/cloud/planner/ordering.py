@@ -26,7 +26,7 @@ unconstrained tenants still interleave freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Callable, Dict, List, Sequence, Set
 
 from repro.cloud.planner.energy import DroneEnergyModel
 from repro.cloud.planner.vrp import Route, Stop, _anneal
@@ -59,6 +59,41 @@ def _index_of(stop: Stop) -> int:
     return int(index)
 
 
+def _repairer(stops: Sequence[Stop], constraints: OrderingConstraints
+              ) -> Callable[[List[Stop]], List[Stop]]:
+    """:func:`repair_tour` for tours of ``stops``, with each stop's
+    tenant (and, for ordered tenants, its index) parsed once up front."""
+    tenant_of = {id(stop): _tenant_of(stop) for stop in stops}
+    index_of = {id(stop): _index_of(stop) for stop in stops
+                if tenant_of[id(stop)] in constraints.ordered_tenants}
+
+    def repair(order: List[Stop]) -> List[Stop]:
+        tour = list(order)
+        # --- grouping ---
+        for tenant in constraints.grouped_tenants:
+            positions = [i for i, stop in enumerate(tour)
+                         if tenant_of[id(stop)] == tenant]
+            if len(positions) <= 1:
+                continue
+            block = [tour[i] for i in positions]
+            anchor = positions[0]
+            remaining = [stop for stop in tour
+                         if tenant_of[id(stop)] != tenant]
+            anchor = min(anchor, len(remaining))
+            tour = remaining[:anchor] + block + remaining[anchor:]
+        # --- ordering ---
+        for tenant in constraints.ordered_tenants:
+            positions = [i for i, stop in enumerate(tour)
+                         if tenant_of[id(stop)] == tenant]
+            ordered = sorted((tour[i] for i in positions),
+                             key=lambda stop: index_of[id(stop)])
+            for position, stop in zip(positions, ordered):
+                tour[position] = stop
+        return tour
+
+    return repair
+
+
 def repair_tour(order: List[Stop], constraints: OrderingConstraints) -> List[Stop]:
     """Return the nearest feasible tour to ``order``.
 
@@ -66,24 +101,7 @@ def repair_tour(order: List[Stop], constraints: OrderingConstraints) -> List[Sto
     position), then ordering (stable reassignment of each ordered
     tenant's stops into that tenant's slots, sorted by definition index).
     """
-    tour = list(order)
-    # --- grouping ---
-    for tenant in constraints.grouped_tenants:
-        positions = [i for i, stop in enumerate(tour) if _tenant_of(stop) == tenant]
-        if len(positions) <= 1:
-            continue
-        block = [tour[i] for i in positions]
-        anchor = positions[0]
-        remaining = [stop for stop in tour if _tenant_of(stop) != tenant]
-        anchor = min(anchor, len(remaining))
-        tour = remaining[:anchor] + block + remaining[anchor:]
-    # --- ordering ---
-    for tenant in constraints.ordered_tenants:
-        positions = [i for i, stop in enumerate(tour) if _tenant_of(stop) == tenant]
-        stops = sorted((tour[i] for i in positions), key=_index_of)
-        for position, stop in zip(positions, stops):
-            tour[position] = stop
-    return tour
+    return _repairer(order, constraints)(order)
 
 
 def validate_tour(order: Sequence[Stop], constraints: OrderingConstraints) -> bool:
@@ -126,5 +144,4 @@ def solve_vrp_constrained(
 ) -> List[Route]:
     """The SA solver with ordering/grouping repair after each move."""
     return _anneal(depot, stops, model, battery_j, fleet_size, cruise_ms,
-                   rng, iterations,
-                   repair=lambda tour: repair_tour(tour, constraints))
+                   rng, iterations, repair=_repairer(stops, constraints))

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.sim import Periodic
+
 
 @dataclass
 class WeatherSample:
@@ -52,7 +54,7 @@ class WeatherService:
         self._direction = rng.uniform(0.0, 2.0 * math.pi)
         self._last_update_us = sim.now
         self._physics = None
-        self._running = False
+        self._loop = Periodic(sim, update_period_us, self._apply)
 
     # -- state evolution ------------------------------------------------------------
     def _evolve(self) -> None:
@@ -82,19 +84,14 @@ class WeatherService:
     def couple_to_physics(self, physics) -> None:
         """Continuously apply the wind to a vehicle's dynamics."""
         self._physics = physics
-        if not self._running:
-            self._running = True
-            self._apply()
+        self._loop.start()
 
     def _apply(self) -> None:
-        if not self._running:
-            return
         if self._physics is not None:
             self._physics.wind_enu = self.current().wind_enu()
-        self.sim.after(self.update_period_us, self._apply)
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
 
     # -- decision helpers --------------------------------------------------------------
     def safe_to_launch(self, limit_ms: float = 10.0) -> bool:

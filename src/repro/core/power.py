@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.devices.battery import Battery, BatteryDepletedError
+from repro.sim import Periodic
 
 
 @dataclass
@@ -53,21 +54,20 @@ class PowerMonitor:
         self.period_us = period_us
         self._last_busy_us = 0.0
         self._last_sample_us = 0
-        self._running = False
+        self._loop = Periodic(sim, period_us, self._sample)
         self.samples = []          # (time_us, soc_w, propulsion_w)
         self.containers = 0
         self.depleted = False
 
     def start(self) -> None:
-        if self._running:
+        if self._loop.running:
             return
-        self._running = True
         self._last_busy_us = self.kernel.cpu_busy_integral_us()
         self._last_sample_us = self.sim.now
-        self.sim.after(self.period_us, self._tick)
+        self._loop.start(delay=self.period_us)
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
 
     def utilization_since_last(self) -> float:
         busy = self.kernel.cpu_busy_integral_us()
@@ -75,9 +75,7 @@ class PowerMonitor:
         cpus = self.kernel.config.num_cpus
         return min(1.0, (busy - self._last_busy_us) / (span * cpus))
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _sample(self) -> None:
         span_s = (self.sim.now - self._last_sample_us) / 1e6
         utilization = self.utilization_since_last()
         soc_w = self.model.soc_power_w(utilization, self.containers)
@@ -95,12 +93,11 @@ class PowerMonitor:
                 self.battery.draw(propulsion_w, span_s, account=account)
         except BatteryDepletedError:
             self.depleted = True
-            self._running = False
+            self._loop.stop()
             return
         self.samples.append((self.sim.now, soc_w, propulsion_w))
         self._last_busy_us = self.kernel.cpu_busy_integral_us()
         self._last_sample_us = self.sim.now
-        self.sim.after(self.period_us, self._tick)
 
     def average_soc_power_w(self) -> float:
         if not self.samples:

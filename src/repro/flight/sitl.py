@@ -18,7 +18,7 @@ from repro.flight.logs import FlightLog
 from repro.flight.physics import QuadcopterParams, QuadcopterPhysics
 from repro.mavlink.enums import CopterMode, MavCommand, MavResult
 from repro.mavlink.messages import CommandAck, CommandLong, MavlinkMessage, SetPositionTarget
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Periodic, RngRegistry, Simulator
 
 
 class SitlDrone:
@@ -60,23 +60,30 @@ class SitlDrone:
             log=log,
             truth_provider=self.physics.snapshot,
         )
-        self._running = False
         self._last_tick_us: Optional[int] = None
+        #: the flight loop; start() sets its period.
+        self._loop = Periodic(sim, 0, self._tick)
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
-        if self._running:
+        if self._loop.running:
             return
-        self._running = True
         self._last_tick_us = self.sim.now
-        self.sim.call_soon(self._tick)
+        # A fixed period costs no call per tick; jitter is drawn after
+        # each tick's control step.
+        self._loop.period = (self._jittered_period
+                             if self.jitter_provider is not None
+                             else max(1, int(round(self.period_us))))
+        self._loop.start(delay=0)
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
+
+    def _jittered_period(self) -> int:
+        return max(1, int(round(
+            self.period_us + max(0.0, self.jitter_provider()))))
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         now = self.sim.now
         dt_s = max(1e-4, (now - self._last_tick_us) / 1e6) if self._last_tick_us is not None else 1.0 / self.rate_hz
         if self._last_tick_us == now:
@@ -84,10 +91,6 @@ class SitlDrone:
         self._last_tick_us = now
         commands = self.autopilot.control_step(dt_s)
         self.physics.step(dt_s, commands)
-        delay = self.period_us
-        if self.jitter_provider is not None:
-            delay += max(0.0, self.jitter_provider())
-        self.sim.after(max(1, int(round(delay))), self._tick)
 
     # -- MAVLink entry point --------------------------------------------------------
     def handle_mavlink(self, msg: MavlinkMessage) -> Optional[MavlinkMessage]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 
 from repro.kernel.kernel import Kernel
+from repro.sim import Periodic
 
 
 class IrqSource:
@@ -21,25 +22,18 @@ class IrqSource:
         self.kernel = kernel
         self.name = name
         self.rate_hz = float(rate_hz)
-        self._running = False
         self._jitter = kernel.rng.stream(f"irq.{name}")
+        self._loop = Periodic(kernel.sim, self._next_delay, kernel.note_irq)
 
     @property
     def period_us(self) -> float:
         return 1e6 / self.rate_hz
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._tick()
+        self._loop.start()
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self.kernel.note_irq()
-        delay = self._jitter.expovariate(1.0) * self.period_us
-        self.kernel.sim.after(max(1, int(delay)), self._tick)
+    def _next_delay(self) -> int:
+        return max(1, int(self._jitter.expovariate(1.0) * self.period_us))

@@ -35,7 +35,7 @@ from repro.cloud.controlplane import (
 from repro.cloud.portal import PortalBusyError
 from repro.flight.geo import GeoPoint, offset_geopoint
 from repro.loadgen.scenario import ScenarioError
-from repro.sim import Simulator
+from repro.sim import Periodic, Simulator
 from repro.sim.rng import RngRegistry
 
 #: The city's reference point (same test range the flight stack uses).
@@ -262,7 +262,7 @@ class CityInvariantMonitor:
         self.interval_us = int(interval_s * 1e6)
         self.violations: List[CityViolation] = []
         self.checks = 0
-        self._running = False
+        self._loop = Periodic(sim, self.interval_us, self._sweep)
         #: tenant -> its position in ``plane.records`` (insertion order).
         self._position: Dict[str, int] = {}
         #: tenants the next sweep re-checks even if nothing writes them.
@@ -271,13 +271,11 @@ class CityInvariantMonitor:
         self._ring: Optional[List[str]] = None
 
     def start(self) -> "CityInvariantMonitor":
-        if not self._running:
-            self._running = True
-            self._tick()
+        self._loop.start()
         return self
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
 
     def assert_clean(self) -> None:
         if self.violations:
@@ -293,9 +291,7 @@ class CityInvariantMonitor:
             CityViolation(self.sim.now, subject, rule, detail))
 
     # -- the sweep --------------------------------------------------------------
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _sweep(self) -> None:
         hosts = self._hosts()
         recheck = self._recheck(hosts)
         self._check_capacity()
@@ -303,7 +299,6 @@ class CityInvariantMonitor:
         self._check_admission()
         self._check_routing(recheck)
         self.checks += 1
-        self.sim.after(self.interval_us, self._tick)
 
     def _hosts(self) -> Dict[str, List[str]]:
         """tenant -> ids of the drones that queue or fly it now."""
@@ -487,8 +482,13 @@ class CityHarness:
         self._rejected: set = set()
         #: order indexes the watchdog has not yet seen settled.
         self._open: List[int] = list(range(scenario.orders))
-        self._done = False
         self._deadline_hit = False
+        self._rollups = Periodic(self.sim, int(self.ROLLUP_INTERVAL_S * 1e6),
+                                 self.plane.rollup)
+        self._watchdog = Periodic(
+            self.sim, int(self.WATCHDOG_INTERVAL_S * 1e6), self._check_done)
+        #: the scripted restart, retried every 5 s while the fleet is busy.
+        self._restart = Periodic(self.sim, int(5e6), self._inject_restart)
 
     # -- order synthesis --------------------------------------------------------
     def _order_params(self, index: int) -> Dict[str, Any]:
@@ -578,31 +578,19 @@ class CityHarness:
                         self.scenario.restart_downtime_s)
                 except DroneStateError:
                     continue
+                self._restart.stop()
                 return
-        # Whole fleet busy right now; try again shortly.
-        self.sim.after(int(5e6), self._inject_restart)
 
     # -- run loop ---------------------------------------------------------------
-    def _rollup(self) -> None:
-        if self._done:
-            return
-        self.plane.rollup()
-        self.sim.after(int(self.ROLLUP_INTERVAL_S * 1e6), self._rollup)
-
-    def _watchdog(self) -> None:
-        if self._done:
-            return
+    def _check_done(self) -> None:
         if self.sim.now >= int(self.scenario.max_sim_s * 1e6):
             self._deadline_hit = True
             self._finish()
-            return
-        if self._submitted >= self.scenario.orders:
+        elif self._submitted >= self.scenario.orders:
             self._open = [index for index in self._open
                           if not self._settled(index)]
             if not self._open:
                 self._finish()
-                return
-        self.sim.after(int(self.WATCHDOG_INTERVAL_S * 1e6), self._watchdog)
 
     def _settled(self, index: int) -> bool:
         """Whether order ``index`` is rejected for good or has placed a
@@ -614,18 +602,18 @@ class CityHarness:
             "completed", "failed")
 
     def _finish(self) -> None:
-        self._done = True
+        self._rollups.stop()
+        self._watchdog.stop()
         self.monitor.stop()
         self.plane.rollup()
 
     def run(self) -> CityResult:
         self.monitor.start()
-        self._rollup()
-        self._watchdog()
+        self._rollups.start()
+        self._watchdog.start()
         self._schedule_next_arrival(0)
         if self.scenario.restart_at_s > 0:
-            self.sim.after(int(self.scenario.restart_at_s * 1e6),
-                           self._inject_restart)
+            self._restart.start(delay=int(self.scenario.restart_at_s * 1e6))
         self.sim.run()
         states = [self.plane.records[t].state
                   for t in self._placed.values() if t is not None]

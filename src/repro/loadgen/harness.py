@@ -173,11 +173,7 @@ class FleetHarness:
         self.scenario = scenario
         self.system = AnDroneSystem(seed=scenario.seed)
         self.system.portal.admission = AdmissionController(
-            max_pending=max(16, 2 * scenario.total_tenants),
-            burst=max(8, scenario.tenants_per_drone),
-            clock=lambda: self.system.sim.now / 1e6)
-        self.system.planner.admission = AdmissionController(
-            max_pending=max(4, scenario.drones))
+            max_pending=max(16, 2 * scenario.total_tenants))
         self.network = Network(self.system.sim, self.system.rng)
         self.monitor = InvariantMonitor(self.system.sim)
         self.slots: List[_DroneSlot] = []
@@ -341,8 +337,7 @@ class FleetHarness:
             system.home, system.planner.model,
             fleet_size=system.planner.fleet_size,
             cruise_ms=system.planner.cruise_ms,
-            rng=system.rng.stream(f"planner.sa.drone{drone_index}"),
-            admission=system.planner.admission)
+            rng=system.rng.stream(f"planner.sa.drone{drone_index}"))
         slot.plans = system.plan_orders(orders, node, planner=planner)
         for order in orders:
             tenant = order.definition.name

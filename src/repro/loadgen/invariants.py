@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import repro.obs as obs
+from repro.sim import Periodic
 from repro.vdc.device_access import TenantPhase
 
 #: meters of slack on containment: breach detection, recovery planning
@@ -73,7 +74,7 @@ class InvariantMonitor:
         self.violations: List[InvariantViolation] = []
         self.checks = 0
         self._nodes: Dict[str, object] = {}
-        self._running = False
+        self._loop = Periodic(sim, self.interval_us, self._sweep)
         # high-water marks for the accounting invariants.
         self._time_seen: Dict[Tuple[str, str], float] = {}
         self._energy_seen: Dict[Tuple[str, str], float] = {}
@@ -97,13 +98,11 @@ class InvariantMonitor:
         return self
 
     def start(self) -> "InvariantMonitor":
-        if not self._running:
-            self._running = True
-            self._tick()
+        self._loop.start()
         return self
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
 
     # -- reporting ------------------------------------------------------------
     def assert_clean(self) -> None:
@@ -120,9 +119,7 @@ class InvariantMonitor:
             InvariantViolation(self.sim.now, drone, rule, detail))
 
     # -- the sweep ------------------------------------------------------------
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _sweep(self) -> None:
         for name, node in self._nodes.items():
             self._check_isolation(name, node)
             self._check_containment(name, node)
@@ -131,7 +128,6 @@ class InvariantMonitor:
         if self._fabric is not None:
             self._check_security()
         self.checks += 1
-        self.sim.after(self.interval_us, self._tick)
 
     def _check_security(self) -> None:
         grace_us = 2 * self.interval_us

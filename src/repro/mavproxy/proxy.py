@@ -26,6 +26,7 @@ from repro.mavlink.messages import (
 )
 from repro.mavproxy.vfc import VirtualFlightController
 from repro.mavproxy.whitelist import RestrictionTemplate, TEMPLATES
+from repro.sim import Periodic
 
 #: Telemetry periods of the rounds every tenant's VfcServer receives.
 HEARTBEAT_PERIOD_US = 1_000_000
@@ -50,7 +51,10 @@ class MavProxy:
         #: the VfcServers streaming this proxy's telemetry rounds, in
         #: registration order (each server registers itself).
         self.servers: List = []
-        self._telemetry_on = False
+        self._heartbeats = Periodic(sim, HEARTBEAT_PERIOD_US,
+                                    self._heartbeat_round)
+        self._positions = Periodic(sim, POSITION_PERIOD_US,
+                                   self._position_round)
 
     @property
     def home(self) -> GeoPoint:
@@ -157,11 +161,11 @@ class MavProxy:
 
         def poll():
             if autopilot.position().horizontal_distance_to(point) <= accept_m:
+                polls.stop()
                 on_recovered()
-            else:
-                self.sim.after(250_000, poll)
 
-        self.sim.after(250_000, poll)
+        polls = Periodic(self.sim, 250_000, poll)
+        polls.start(delay=250_000)
 
     # -- telemetry rounds ---------------------------------------------------------------
     def start_telemetry(self) -> None:
@@ -171,26 +175,18 @@ class MavProxy:
         Each round is one simulator event that emits every server's
         frame in registration order, so adding tenants adds no timers.
         """
-        if self._telemetry_on:
-            return
-        self._telemetry_on = True
-        self._heartbeat_round()
-        self._position_round()
+        self._heartbeats.start()
+        self._positions.start()
 
     def stop_telemetry(self) -> None:
         """No round emits after this; the pending ones fire once and end."""
-        self._telemetry_on = False
+        self._heartbeats.stop()
+        self._positions.stop()
 
     def _heartbeat_round(self) -> None:
-        if not self._telemetry_on:
-            return
         for server in self.servers:
             server.emit_heartbeat()
-        self.sim.after(HEARTBEAT_PERIOD_US, self._heartbeat_round)
 
     def _position_round(self) -> None:
-        if not self._telemetry_on:
-            return
         for server in self.servers:
             server.emit_position()
-        self.sim.after(POSITION_PERIOD_US, self._position_round)

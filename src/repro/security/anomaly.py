@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Tuple
 
 import repro.obs as obs
 from repro.security.errors import SecurityConfigError
+from repro.sim import Periodic
 
 
 class AnomalyDetector:
@@ -50,7 +51,8 @@ class AnomalyDetector:
         self._quiet_streak: Dict[str, int] = {}
         self._on_flag: List[Callable[[str, str, int], None]] = []
         self._on_clear: List[Callable[[str], None]] = []
-        self._running = False
+        self._loop = Periodic(sim, self.window_us, self._close_window,
+                              key="sec.anomaly")
 
     # -- wiring ---------------------------------------------------------------
     def on_flag(self, fn: Callable[[str, str, int], None]) -> "AnomalyDetector":
@@ -75,17 +77,13 @@ class AnomalyDetector:
 
     # -- the window sweep ------------------------------------------------------
     def start(self) -> "AnomalyDetector":
-        if not self._running:
-            self._running = True
-            self.sim.after(self.window_us, self._tick, key="sec.anomaly")
+        self._loop.start(delay=self.window_us)
         return self
 
     def stop(self) -> None:
-        self._running = False
+        self._loop.stop()
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _close_window(self) -> None:
         self.windows += 1
         window, self._rejections = self._rejections, {}
         totals: Dict[str, int] = {}
@@ -114,7 +112,6 @@ class AnomalyDetector:
             self._quiet_streak[tenant] = quiet
             if quiet >= self.clear_windows:
                 self._clear(tenant)
-        self.sim.after(self.window_us, self._tick, key="sec.anomaly")
 
     def _flag(self, tenant: str, edge: str, rejections: int) -> None:
         self.flags_raised += 1

@@ -26,7 +26,7 @@ A :class:`SecureChannel` is one *direction* of traffic;
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 import repro.obs as obs
 from repro.security.errors import (
@@ -34,6 +34,7 @@ from repro.security.errors import (
     ReplayError,
     SecurityConfigError,
 )
+from repro.sim import Periodic
 
 #: Framing overhead billed to the link per sealed frame (epoch + seq +
 #: truncated tag), so secure traffic pays a modest, honest bandwidth tax.
@@ -83,7 +84,8 @@ class KeySchedule:
         self.epoch = 0
         self.rekeys = 0
         self._keys: Dict[int, str] = {0: _derive_key(secret, 0)}
-        self._running = False
+        #: the rekey loop, made by the first :meth:`start`.
+        self._loop: Optional[Periodic] = None
 
     def key_for(self, epoch: int) -> Optional[str]:
         """The key for ``epoch`` if it is still accepted, else None."""
@@ -104,22 +106,15 @@ class KeySchedule:
 
     def start(self, sim) -> "KeySchedule":
         """Schedule periodic rekeys on the sim clock."""
-        if not self._running:
-            self._running = True
-            sim.after(self.rekey_interval_us, self._tick(sim),
-                      key="sec.rekey")
+        if self._loop is None:
+            self._loop = Periodic(sim, self.rekey_interval_us, self.rekey,
+                                  key="sec.rekey")
+        self._loop.start(delay=self.rekey_interval_us)
         return self
 
     def stop(self) -> None:
-        self._running = False
-
-    def _tick(self, sim) -> Callable[[], None]:
-        def fire() -> None:
-            if not self._running:
-                return
-            self.rekey()
-            sim.after(self.rekey_interval_us, fire, key="sec.rekey")
-        return fire
+        if self._loop is not None:
+            self._loop.stop()
 
 
 class SecureChannel:

@@ -15,6 +15,7 @@ bit-for-bit from its root seed.
 """
 
 from repro.sim.simulator import Event, Simulator
+from repro.sim.periodic import Periodic
 from repro.sim.process import Process, Timeout, WaitSignal, Signal
 from repro.sim.rng import RngRegistry
 from repro.sim.time import MICROS_PER_MS, MICROS_PER_SEC, micros, millis, seconds
@@ -22,6 +23,7 @@ from repro.sim.time import MICROS_PER_MS, MICROS_PER_SEC, micros, millis, second
 __all__ = [
     "Event",
     "Simulator",
+    "Periodic",
     "Process",
     "Timeout",
     "WaitSignal",

@@ -20,6 +20,7 @@ from repro.flight.geofence import Geofence
 from repro.mavproxy.whitelist import RestrictionTemplate, TEMPLATES
 from repro.sdk.androne_sdk import AndroneSdk
 from repro.sdk.listener import Waypoint
+from repro.sim import Periodic
 from repro.vdc.definition import VirtualDroneDefinition
 from repro.vdc.device_access import DeviceAccessPolicy, TenantPhase
 
@@ -136,8 +137,7 @@ class VirtualDroneController:
         #: invoked with (tenant_name,) when a tenant finishes a waypoint
         #: (voluntarily or forced) — the flight planner listens here.
         self.on_waypoint_done: Optional[Callable[[str], None]] = None
-        self._enforcement_running = False
-        self._enforcement_event = None
+        self._enforcement = Periodic(sim, 1_000_000, self._enforcement_tick)
         self.killed_processes: List[Tuple[str, int]] = []
         # --- container supervision (heartbeat + checkpoint/restart) ---
         self.supervision_enabled = False
@@ -150,7 +150,8 @@ class VirtualDroneController:
         self.restart_counts: Dict[str, int] = {}
         self._missed_beats: Dict[str, int] = {}
         self._crashed_at_us: Dict[str, int] = {}
-        self._supervision_event = None
+        self._supervision = Periodic(sim, self.heartbeat_interval_us,
+                                     self._supervision_tick)
         self._restarting = False
 
     # ------------------------------------------------------------ creation
@@ -198,9 +199,8 @@ class VirtualDroneController:
         obs.gauge("vdc.tenants").set(len(self.drones))
         if self.supervision_enabled:
             self.checkpoints[name] = self.checkpoint_virtual_drone(name)
-        if not self._enforcement_running and not self._restarting:
-            self._enforcement_running = True
-            self._enforcement_tick()
+        if not self._restarting:
+            self._enforcement.start()
         return drone
 
     def _tenant_environment(self, container) -> AndroidEnvironment:
@@ -439,7 +439,6 @@ class VirtualDroneController:
                 reason = "energy allotment exhausted" if energy_left <= 0.0 \
                     else "time allotment exhausted"
                 self.force_finish(name, reason)
-        self._enforcement_event = self.sim.after(1_000_000, self._enforcement_tick)
 
     # ------------------------------------------------ supervision/recovery
     def enable_supervision(self, heartbeat_interval_s: float = 0.5,
@@ -461,9 +460,9 @@ class VirtualDroneController:
         for name, drone in self.drones.items():
             if not drone.finished and name not in self.checkpoints:
                 self.checkpoints[name] = self.checkpoint_virtual_drone(name)
-        if self._supervision_event is None and not self._restarting:
-            self._supervision_event = self.sim.after(
-                self.heartbeat_interval_us, self._supervision_tick)
+        self._supervision.period = self.heartbeat_interval_us
+        if not self._restarting:
+            self._supervision.start(delay=self.heartbeat_interval_us)
 
     def _supervision_tick(self) -> None:
         for name, drone in list(self.drones.items()):
@@ -484,8 +483,6 @@ class VirtualDroneController:
                 continue
             self.restart_counts[name] = restarts + 1
             self.restart_virtual_drone(name)
-        self._supervision_event = self.sim.after(
-            self.heartbeat_interval_us, self._supervision_tick)
 
     def crash_container(self, name: str) -> None:
         """Fault injection: kill a tenant's container where it stands.
@@ -562,22 +559,16 @@ class VirtualDroneController:
         self._restarting = True
         obs.event("vdc.restart", phase="down", downtime_s=downtime_s)
         obs.counter("fault.vdc_restarts").inc()
-        if self._enforcement_event is not None:
-            self._enforcement_event.cancel()
-            self._enforcement_event = None
-        self._enforcement_running = False
-        if self._supervision_event is not None:
-            self._supervision_event.cancel()
-            self._supervision_event = None
+        self._enforcement.stop()
+        self._supervision.stop()
 
         def come_back():
             self._restarting = False
             obs.event("vdc.restart", phase="up")
-            if self.drones and not self._enforcement_running:
-                self._enforcement_running = True
-                self._enforcement_tick()
-            if self.supervision_enabled and self._supervision_event is None:
-                self._supervision_tick()
+            if self.drones:
+                self._enforcement.start()
+            if self.supervision_enabled:
+                self._supervision.start()
 
         self.sim.after(int(downtime_s * 1e6), come_back)
 

@@ -86,12 +86,10 @@ class CheckedMonitor(CityInvariantMonitor):
         self.oracle = FullSweep(sim, plane, max_pending)
         self.compared = 0
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
+    def _sweep(self) -> None:
         start = len(self.violations)
         self.oracle.sweep()
-        super()._tick()
+        super()._sweep()
         assert self.violations[start:] == self.oracle.violations[start:], \
             f"sweep {self.checks} at t={self.sim.now} differs"
         self.compared += 1

@@ -53,10 +53,8 @@ def build(servers: int):
 
 def round_events(sim, proxy):
     """(heartbeat, position) round events scheduled so far."""
-    rounds = [getattr(fn, "__func__", None) for fn in sim.scheduled
-              if getattr(fn, "__self__", None) is proxy]
-    return (rounds.count(MavProxy._heartbeat_round),
-            rounds.count(MavProxy._position_round))
+    return (sim.scheduled.count(proxy._heartbeats._run),
+            sim.scheduled.count(proxy._positions._run))
 
 
 @pytest.mark.parametrize("servers", [1, 3])
