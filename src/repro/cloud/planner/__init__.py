@@ -11,7 +11,6 @@ allocated for virtual drones at their waypoints" (Section 4).
 
 from repro.cloud.planner.energy import DroneEnergyModel
 from repro.cloud.planner.vrp import Stop, Route, solve_vrp, nearest_neighbor_routes
-from repro.cloud.planner.ordering import OrderingConstraints, solve_vrp_constrained
 from repro.cloud.planner.flight_plan import FlightPlan, FlightPlanner, PlannedStop
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "Route",
     "solve_vrp",
     "nearest_neighbor_routes",
-    "OrderingConstraints",
-    "solve_vrp_constrained",
     "FlightPlan",
     "FlightPlanner",
     "PlannedStop",

@@ -96,29 +96,20 @@ class FlightPlanner:
         return stops
 
     def plan(self, definitions: Sequence[VirtualDroneDefinition],
-             battery_j: Optional[float] = None,
-             constraints=None) -> List[FlightPlan]:
+             battery_j: Optional[float] = None) -> List[FlightPlan]:
         """Allocate all tenants' waypoints to one or more flights.
 
-        ``constraints`` (an :class:`~repro.cloud.planner.ordering.
-        OrderingConstraints`) enables the ordering/grouping extension —
-        the paper's stated future work; by default waypoints are treated
-        independently, exactly as in the paper.
+        Waypoints are treated independently, exactly as in the paper:
+        one tenant's stops may be visited in any order and interleaved
+        with another's (Section 4 leaves ordering and grouping to
+        future work).
         """
         stops = self._stops_for(definitions)
         budget = battery_j if battery_j is not None else self.model.battery_capacity_j
-        if constraints is not None and not constraints.empty:
-            from repro.cloud.planner.ordering import solve_vrp_constrained
-
-            routes = solve_vrp_constrained(
-                self.home, stops, self.model, budget, constraints,
-                fleet_size=self.fleet_size, cruise_ms=self.cruise_ms,
-                rng=self.rng)
-        else:
-            routes = solve_vrp(
-                self.home, stops, self.model, budget,
-                fleet_size=self.fleet_size, cruise_ms=self.cruise_ms,
-                rng=self.rng)
+        routes = solve_vrp(
+            self.home, stops, self.model, budget,
+            fleet_size=self.fleet_size, cruise_ms=self.cruise_ms,
+            rng=self.rng)
         return [self._plan_from_route(i, route) for i, route in enumerate(routes)]
 
     def _plan_from_route(self, flight_id: int, route: Route) -> FlightPlan:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cloud.planner.energy import DroneEnergyModel, EnergyModelError
 from repro.flight.geo import GeoPoint
@@ -85,8 +85,6 @@ class _LegTable:
         power = model.cruise_power_w(cruise_ms)
         points = [depot] + [stop.location for stop in stops]
         self.stops: List[Stop] = list(stops)
-        self._point_of = {id(stop): point
-                          for point, stop in enumerate(self.stops, 1)}
         self.distance = [[a.distance_to(b) for b in points] for a in points]
         self.time = [[d / cruise_ms for d in row] for row in self.distance]
         self.energy = [[power * (d / cruise_ms) for d in row]
@@ -149,13 +147,6 @@ class _LegTable:
                             energy_sum + energy[here][0]))
         return flights
 
-    def repaired(self, tour: List[int],
-                 repair: Callable[[List[Stop]], List[Stop]]) -> List[int]:
-        """``repair`` (a tour of stops in, a tour of stops out) applied
-        to a tour of points."""
-        return [self._point_of[id(stop)]
-                for stop in repair([self.stops[p - 1] for p in tour])]
-
     def _infeasible(self, point: int, energy_j: float, battery_j: float):
         raise InfeasibleStopError(
             f"stop {self.stops[point - 1].stop_id!r} needs {energy_j:.0f} J "
@@ -211,22 +202,8 @@ def solve_vrp(
     rng=None,
     iterations: int = 4_000,
 ) -> List[Route]:
-    """Simulated annealing over the giant-tour permutation."""
-    return _anneal(depot, stops, model, battery_j, fleet_size, cruise_ms,
-                   rng, iterations)
-
-
-def _anneal(depot: GeoPoint, stops: Sequence[Stop], model: DroneEnergyModel,
-            battery_j: float, fleet_size: int, cruise_ms: float, rng,
-            iterations: int,
-            repair: Optional[Callable[[List[Stop]], List[Stop]]] = None,
-            ) -> List[Route]:
-    """The annealing loop both solvers share.
-
-    Starts from the nearest-neighbour tour and, after each move, passes
-    the candidate through ``repair`` (a tour of stops in, a feasible
-    tour out) when one is given.
-    """
+    """Simulated annealing over the giant-tour permutation, starting
+    from the nearest-neighbour tour."""
     if not stops:
         return []
     import random as _random
@@ -234,11 +211,6 @@ def _anneal(depot: GeoPoint, stops: Sequence[Stop], model: DroneEnergyModel,
     rng = rng or _random.Random(0)
     table = _LegTable(depot, stops, model, cruise_ms)
     tour = table.nearest_neighbor_tour()
-    if repair is not None:
-        # An infeasible stop is reported from the seed tour, as the
-        # nearest-neighbour baseline's own split reports it.
-        table.split(tour, battery_j)
-        tour = table.repaired(tour, repair)
     flights = table.split(tour, battery_j)
     cost = _cost(flights, fleet_size)
     n = len(tour)
@@ -256,8 +228,6 @@ def _anneal(depot: GeoPoint, stops: Sequence[Stop], model: DroneEnergyModel,
             candidate[i], candidate[j] = candidate[j], candidate[i]
         else:
             candidate.insert(j, candidate.pop(i))
-        if repair is not None:
-            candidate = table.repaired(candidate, repair)
         try:
             cand_flights = table.split(candidate, battery_j)
         except InfeasibleStopError:

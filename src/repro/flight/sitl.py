@@ -103,7 +103,7 @@ class SitlDrone:
             return None
         return None
 
-    # -- scripting helpers (used by tests and the flight planner) --------------------
+    # -- scripting helpers (used by tests, benchmarks and examples) -----------------
     def arm(self) -> MavResult:
         return self.autopilot.handle_command(
             CommandLong(command=int(MavCommand.COMPONENT_ARM_DISARM), param1=1.0)

@@ -602,10 +602,14 @@ class CityHarness:
             "completed", "failed")
 
     def _finish(self) -> None:
+        """End the run now: the last order settled or the deadline hit.
+        Nothing queued runs after this, a scripted restart included, so
+        ``duration_s`` is this moment."""
         self._rollups.stop()
         self._watchdog.stop()
         self.monitor.stop()
         self.plane.rollup()
+        self.sim.clear()
 
     def run(self) -> CityResult:
         self.monitor.start()

@@ -229,3 +229,8 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return sum(1 for entry in self._queue if not entry[2].cancelled)
+
+    def clear(self) -> None:
+        """Drop every queued event, so a :meth:`run` in progress returns
+        once the current event does."""
+        self._queue.clear()

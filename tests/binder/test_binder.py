@@ -228,3 +228,33 @@ class TestServiceManagerApi:
         _, _, manager = make_container(driver, "vd1", 100)
         with pytest.raises(ServiceNotFoundError):
             manager.lookup_handle("Nope")
+
+
+class TestBinderDeathNotification:
+    def test_recipient_fires_on_process_close(self):
+        driver = BinderDriver()
+        ns = NamespaceSet("vd1")
+        proc = driver.open(1, 1000, "vd1", ns.device_ns)
+        manager = ServiceManager(proc)
+        service_proc = driver.open(2, 1000, "vd1", ns.device_ns)
+        ref = service_proc.create_node(lambda t: "ok", "svc")
+        manager.register("Svc", ref)
+        deaths = []
+        handle = manager.lookup_handle("Svc")
+        proc.link_to_death(handle, lambda node: deaths.append(node.label))
+        service_proc.close()
+        assert deaths == ["svc"]
+        # The ServiceManager pruned the dead registration.
+        assert not manager.has_service("Svc")
+
+    def test_linking_to_dead_node_fires_immediately(self):
+        driver = BinderDriver()
+        ns = NamespaceSet("vd1")
+        proc = driver.open(1, 1000, "vd1", ns.device_ns)
+        peer = driver.open(2, 1000, "vd1", ns.device_ns)
+        ref = peer.create_node(lambda t: None, "ephemeral")
+        handle = proc._install_ref(ref.node)
+        peer.close()
+        deaths = []
+        proc.link_to_death(handle, lambda node: deaths.append(1))
+        assert deaths == [1]

@@ -58,6 +58,15 @@ class TestCityRun:
         assert first.orders_completed == second.orders_completed
         assert first.placement_mean_m == second.placement_mean_m
 
+    def test_run_ends_when_the_last_order_settles(self):
+        """The last of seed 3's 12 orders settles at 82 s.  A restart
+        scripted for 3000 s never fires and does not stretch the run; the
+        drained run used to report 3015 s with it and 85 s without."""
+        without = run_city(CityScenario(seed=3, orders=12, restart_at_s=0))
+        late = run_city(CityScenario(seed=3, orders=12, restart_at_s=3000))
+        assert without.duration_s == late.duration_s == 82.0
+        assert late.digest == without.digest   # no drone_restart journaled
+
     def test_different_seed_different_digest(self):
         assert run_city(small_scenario()).digest \
             != run_city(small_scenario(seed=7)).digest

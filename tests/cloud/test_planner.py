@@ -7,13 +7,10 @@ import pytest
 from repro.cloud.planner import (
     DroneEnergyModel,
     FlightPlanner,
-    OrderingConstraints,
     Stop,
     nearest_neighbor_routes,
     solve_vrp,
-    solve_vrp_constrained,
 )
-from repro.cloud.planner import ordering
 from repro.cloud.planner.vrp import InfeasibleStopError, split_into_routes
 from repro.flight.geo import GeoPoint, offset_geopoint
 from tests.util import HOME, simple_definition
@@ -140,52 +137,16 @@ class TestSolveWork:
         monkeypatch.setattr(GeoPoint, "distance_to", counting_distance)
         return calls
 
-    @pytest.mark.parametrize("constrained", [False, True])
-    def test_power_once_and_each_leg_measured_once(self, calls, constrained):
+    def test_power_once_and_each_leg_measured_once(self, calls):
         n = 9
-        stops = [Stop(f"vd{k % 3}#{k // 3}", s.location, s.service_energy_j,
-                      s.service_time_s)
-                 for k, s in enumerate(stops_grid(n, service_j=25_000.0))]
-        if constrained:
-            routes = solve_vrp_constrained(
-                HOME, stops, MODEL, 90_000.0,
-                OrderingConstraints.of(ordered=["vd0"], grouped=["vd1"]),
-                rng=random.Random(1), iterations=500)
-        else:
-            routes = solve_vrp(HOME, stops, MODEL, battery_j=90_000.0,
-                               rng=random.Random(1), iterations=500)
+        stops = stops_grid(n, service_j=25_000.0)
+        routes = solve_vrp(HOME, stops, MODEL, battery_j=90_000.0,
+                           rng=random.Random(1), iterations=500)
         assert len(routes) > 1
         assert calls["cruise_power_w"] == 1
         # Every ordered leg between the depot and the stops, plus the
         # nearest-neighbour seed tour's own scan.
         assert calls["distance_to"] <= (n + 1) ** 2 + n * (n + 1) // 2
-
-    def test_each_stop_id_parsed_once_per_solve(self, monkeypatch):
-        parses = {"tenant": 0, "index": 0}
-        real_tenant, real_index = ordering._tenant_of, ordering._index_of
-
-        def counting_tenant(stop):
-            parses["tenant"] += 1
-            return real_tenant(stop)
-
-        def counting_index(stop):
-            parses["index"] += 1
-            return real_index(stop)
-
-        monkeypatch.setattr(ordering, "_tenant_of", counting_tenant)
-        monkeypatch.setattr(ordering, "_index_of", counting_index)
-        n = 9
-        stops = [Stop(f"vd{k % 3}#{k // 3}", s.location, s.service_energy_j,
-                      s.service_time_s)
-                 for k, s in enumerate(stops_grid(n, service_j=25_000.0))]
-        constraints = OrderingConstraints.of(ordered=["vd0", "vd2"],
-                                             grouped=["vd1", "vd2"])
-        routes = solve_vrp_constrained(HOME, stops, MODEL, 90_000.0,
-                                       constraints, rng=random.Random(1),
-                                       iterations=500)
-        assert len(routes) > 1
-        assert parses["tenant"] <= n
-        assert parses["index"] <= n
 
 
 class TestFlightPlanner:

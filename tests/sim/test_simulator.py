@@ -90,6 +90,17 @@ class TestClockAndEvents:
         e1.cancel()
         assert sim.pending() == 1
 
+    def test_clear_from_an_event_ends_the_run_there(self):
+        sim = Simulator()
+        fired = []
+        sim.after(10, lambda: (fired.append(10), sim.clear()))
+        sim.after(10, lambda: fired.append("same tick"))
+        sim.after(5_000, lambda: fired.append(5_000))
+        assert sim.run() == 1
+        assert fired == [10]
+        assert sim.now == 10
+        assert sim.pending() == 0
+
     def test_max_events_limits_execution(self):
         sim = Simulator()
         count = []
