@@ -107,7 +107,7 @@ baselines: ## refresh the checked-in perf baselines from a fresh smoke sweep
 
 clean:
 	rm -rf .pytest_cache .ruff_cache .mypy_cache .hypothesis \
-		benchmarks/results .benchmarks src/repro.egg-info \
+		.benchmarks src/repro.egg-info \
 		profiles trace.jsonl chaos-trace.jsonl soak-trace.jsonl \
 		city-trace.jsonl \
 		repro-lint.json repro-lint-flow.json repro-lint-flow.sarif \

@@ -47,9 +47,6 @@ class ActivityManager:
         self._changed(sorted(uid for uid, pkg in self._uid_package.items()
                              if pkg == package))
 
-    def package_for_uid(self, uid: int) -> Optional[str]:
-        return self._uid_package.get(uid)
-
     def check_permission(self, permission: Permission, uid: int) -> bool:
         """The classic Android checkPermission(perm, pid, uid)."""
         self.check_count += 1

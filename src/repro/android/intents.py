@@ -11,7 +11,7 @@ are container-local: one tenant's intents never reach another's receivers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 
 #: AnDrone's broadcast actions (mirroring the SDK callbacks).
@@ -76,8 +76,3 @@ class IntentBus:
         for receiver in receivers:
             receiver.on_receive(intent)
         return len(receivers)
-
-    def receiver_count(self, action: Optional[str] = None) -> int:
-        if action is not None:
-            return len(self._receivers.get(action, ()))
-        return sum(len(r) for r in self._receivers.values())

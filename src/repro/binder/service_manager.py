@@ -64,10 +64,6 @@ class ServiceManager:
             raise ServiceNotFoundError(name)
         return self._services[name]
 
-    def lookup_ref(self, name: str) -> NodeRef:
-        """Return a sendable ref for ``name``."""
-        return self.proc.ref_for_handle(self.lookup_handle(name))
-
     def list_services(self) -> List[str]:
         return sorted(self._services)
 

@@ -78,6 +78,3 @@ class AppStore:
             app for app in self._apps.values()
             if query in app.title.lower() or query in app.description.lower()
         ]
-
-    def list_packages(self) -> List[str]:
-        return sorted(self._apps)

@@ -190,10 +190,3 @@ class FleetDirectory:
 
     def drone_ids(self) -> List[str]:
         return list(self._drones)
-
-    def find_tenant(self, tenant: str) -> Optional[str]:
-        """The drone currently hosting ``tenant``, or None."""
-        for drone_id, state in self._drones.items():
-            if state.hosts(tenant):
-                return drone_id
-        return None

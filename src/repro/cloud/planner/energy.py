@@ -86,9 +86,6 @@ class DroneEnergyModel:
             raise EnergyModelError("speed must be positive")
         return self.cruise_power_w(speed_ms, payload_kg) * (distance_m / speed_ms)
 
-    def hover_energy_j(self, duration_s: float, payload_kg: float = 0.0) -> float:
-        return self.hover_power_w(payload_kg) * duration_s
-
     def endurance_s(self, payload_kg: float = 0.0,
                     battery_j: float = None) -> float:
         """Hover endurance on a full (usable) battery — the flight-time

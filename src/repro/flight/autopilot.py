@@ -41,7 +41,6 @@ from repro.mavlink.enums import (
     MavState,
 )
 from repro.mavlink.messages import (
-    Attitude,
     CommandLong,
     GlobalPositionInt,
     Heartbeat,
@@ -152,14 +151,6 @@ class Autopilot:
             vx=int(round(vn * 100)), vy=int(round(ve * 100)),
             vz=int(round(-vu * 100)),
             hdg=int(round(math.degrees(self.attitude_est.yaw) * 100)) % 36000,
-        )
-
-    def make_attitude(self) -> Attitude:
-        est = self.attitude_est
-        return Attitude(
-            time_boot_ms=self.time_us // 1000,
-            roll=est.roll, pitch=est.pitch, yaw=est.yaw,
-            rollspeed=est.rates[0], pitchspeed=est.rates[1], yawspeed=est.rates[2],
         )
 
     # -------------------------------------------------------------- commands
@@ -421,10 +412,6 @@ class Autopilot:
         east, north, up = self.position_est.position
         te, tn, tu = self.target_enu
         return math.sqrt((te - east) ** 2 + (tn - north) ** 2)
-
-    def reached_target(self, accept_m: float = WP_ACCEPT_M) -> bool:
-        return (self._dist_to_target() <= accept_m
-                and abs(self.target_enu[2] - self.position_est.position[2]) <= 1.5)
 
     def _navigate(self, dt_s: float) -> None:
         self.check_fence()

@@ -49,9 +49,3 @@ def offset_geopoint(origin: GeoPoint, east: float, north: float, up: float = 0.0
         M_PER_DEG_LAT * math.cos(math.radians(origin.latitude))
     )
     return GeoPoint(lat, lon, origin.altitude_m + up)
-
-
-def bearing_rad(origin: GeoPoint, target: GeoPoint) -> float:
-    """Bearing from origin to target, radians clockwise from north."""
-    east, north, _ = enu_between(origin, target)
-    return math.atan2(east, north) % (2 * math.pi)

@@ -110,9 +110,6 @@ class QuadcopterPhysics:
         self._snapshot_version = self._state_version
         return snap
 
-    def total_thrust(self) -> float:
-        return sum(self.motor_thrust)
-
     def propulsion_power_w(self) -> float:
         """Electrical power drawn by the motors (induced-power model)."""
         motor_thrust = self.motor_thrust

@@ -18,7 +18,6 @@ from repro.loadgen.city import (
     CityInvariantMonitor,
     CityResult,
     CityScenario,
-    CityViolation,
     make_city_specs,
     run_city,
 )
@@ -28,7 +27,7 @@ from repro.loadgen.harness import (
     TenantStats,
     run_scenario,
 )
-from repro.loadgen.invariants import InvariantMonitor, InvariantViolation
+from repro.loadgen.invariants import InvariantMonitor, Violation
 from repro.loadgen.scenario import FleetScenario, ScenarioError, WORKLOADS
 
 __all__ = [
@@ -36,14 +35,13 @@ __all__ = [
     "CityInvariantMonitor",
     "CityResult",
     "CityScenario",
-    "CityViolation",
     "FleetHarness",
     "FleetResult",
     "FleetScenario",
     "InvariantMonitor",
-    "InvariantViolation",
     "ScenarioError",
     "TenantStats",
+    "Violation",
     "WORKLOADS",
     "make_city_specs",
     "run_city",

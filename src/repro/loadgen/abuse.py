@@ -40,9 +40,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 import repro.obs as obs
-from repro.binder.driver import TransientBinderError
 from repro.cloud.portal import PortalBusyError
-from repro.loadgen.workloads import STORM_CALLS, _alive, _outcome
+from repro.loadgen.workloads import STORM_CALLS, _alive, _call
 from repro.mavlink.codec import MavlinkCodec
 from repro.mavlink.messages import SetPositionTarget
 from repro.net.link import wifi
@@ -108,22 +107,8 @@ def flood_installer(scenario) -> Callable:
                     return
                 fired = app.memory.get("flood", 0)
                 for i in range(16):
-                    service, code, data = \
-                        STORM_CALLS[(fired + i) % len(STORM_CALLS)]
-                    try:
-                        reply = app.call_service(service, code, dict(data))
-                    except TransientBinderError:
-                        reply = {"transient": True}
-                    except RateLimitError:  # repro-lint: disable=flow-exceptions
-                        # Deliberate abuse traffic: the throttle IS the
-                        # outcome, counted as loadgen.calls below; the
-                        # rate guard already fed the pressure detector.
-                        reply = {"throttled": True}
-                    outcome = "throttled" if reply.get("throttled") \
-                        else _outcome(reply)
-                    obs.counter("loadgen.calls", workload="binder-flood",
-                                outcome=outcome).inc()
-                    if outcome == "denied":
+                    if _call(app, "binder-flood", *STORM_CALLS[
+                            (fired + i) % len(STORM_CALLS)]) == "denied":
                         # Quarantined at the service layer too.
                         self.bursts.stop()
                         return

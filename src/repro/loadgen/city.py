@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 import repro.obs as obs
@@ -34,7 +34,12 @@ from repro.cloud.controlplane import (
 )
 from repro.cloud.portal import PortalBusyError
 from repro.flight.geo import GeoPoint, offset_geopoint
-from repro.loadgen.scenario import ScenarioError
+from repro.loadgen.invariants import (
+    SweepMonitor,
+    Violation,
+    assert_no_violations,
+)
+from repro.loadgen.scenario import Scenario, ScenarioError
 from repro.sim import Periodic, Simulator
 from repro.sim.rng import RngRegistry
 
@@ -46,7 +51,7 @@ CITY_ALTITUDE_M = 30.0
 
 
 @dataclass
-class CityScenario:
+class CityScenario(Scenario):
     """One city-scale control-plane run, as replayable data."""
 
     seed: int = 42
@@ -94,9 +99,6 @@ class CityScenario:
     max_retries: int = 120
     #: harness deadline on the sim clock.
     max_sim_s: float = 3600.0
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if not isinstance(self.seed, int):
@@ -152,34 +154,6 @@ class CityScenario:
         if self.max_sim_s <= 0:
             raise ScenarioError("max_sim_s must be positive")
 
-    # -- JSON round trip --------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CityScenario":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as bad:
-            raise ScenarioError(str(bad)) from bad
-
-    @classmethod
-    def from_json(cls, text: str) -> "CityScenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as bad:
-            raise ScenarioError(f"malformed scenario JSON: {bad}") from bad
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario JSON must be an object")
-        return cls.from_dict(data)
-
 
 def make_city_specs(scenario: CityScenario) -> List[DroneSpec]:
     """Pad the fleet out on a deterministic grid over the city square."""
@@ -200,21 +174,7 @@ def make_city_specs(scenario: CityScenario) -> List[DroneSpec]:
     return specs
 
 
-@dataclass(frozen=True)
-class CityViolation:
-    """One broken control-plane promise, timestamped on the sim clock."""
-
-    t_us: int
-    subject: str
-    rule: str
-    detail: str
-
-    def __str__(self) -> str:
-        return (f"[t={self.t_us / 1e6:.2f}s] {self.subject}: "
-                f"{self.rule}: {self.detail}")
-
-
-class CityInvariantMonitor:
+class CityInvariantMonitor(SweepMonitor):
     """Sweeps the control plane's promises while the city runs.
 
     * **capacity** — a drone's queued tenants never exceed its slot
@@ -256,39 +216,15 @@ class CityInvariantMonitor:
 
     def __init__(self, sim: Simulator, plane: CityControlPlane,
                  max_pending: int, interval_s: float = 2.0):
-        self.sim = sim
+        super().__init__(sim, interval_s)
         self.plane = plane
         self.max_pending = max_pending
-        self.interval_us = int(interval_s * 1e6)
-        self.violations: List[CityViolation] = []
-        self.checks = 0
-        self._loop = Periodic(sim, self.interval_us, self._sweep)
         #: tenant -> its position in ``plane.records`` (insertion order).
         self._position: Dict[str, int] = {}
         #: tenants the next sweep re-checks even if nothing writes them.
         self._watch: Set[str] = set()
         #: ring membership at the last sweep.
         self._ring: Optional[List[str]] = None
-
-    def start(self) -> "CityInvariantMonitor":
-        self._loop.start()
-        return self
-
-    def stop(self) -> None:
-        self._loop.stop()
-
-    def assert_clean(self) -> None:
-        if self.violations:
-            lines = "\n".join(f"  {v}" for v in self.violations[:20])
-            more = len(self.violations) - 20
-            suffix = f"\n  ... and {more} more" if more > 0 else ""
-            raise AssertionError(
-                f"{len(self.violations)} invariant violation(s):\n"
-                f"{lines}{suffix}")
-
-    def _flag(self, subject: str, rule: str, detail: str) -> None:
-        self.violations.append(
-            CityViolation(self.sim.now, subject, rule, detail))
 
     # -- the sweep --------------------------------------------------------------
     def _sweep(self) -> None:
@@ -298,7 +234,6 @@ class CityInvariantMonitor:
         self._check_placement(hosts, recheck)
         self._check_admission()
         self._check_routing(recheck)
-        self.checks += 1
 
     def _hosts(self) -> Dict[str, List[str]]:
         """tenant -> ids of the drones that queue or fly it now."""
@@ -401,7 +336,7 @@ class CityResult:
     capacity_retries: int
     flights: int
     migrations: Dict[str, int]
-    violations: List[CityViolation]
+    violations: List[Violation]
     invariant_checks: int
     digest: str
     shards: List[Dict[str, Any]]
@@ -413,10 +348,7 @@ class CityResult:
         return self.migrations.get("completed", 0)
 
     def assert_clean(self) -> None:
-        if self.violations:
-            lines = "\n".join(f"  {v}" for v in self.violations[:20])
-            raise AssertionError(
-                f"{len(self.violations)} invariant violation(s):\n{lines}")
+        assert_no_violations(self.violations)
         if self.deadline_hit:
             raise AssertionError(
                 f"city run hit the {self.scenario.max_sim_s:.0f} s sim "

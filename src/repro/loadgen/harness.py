@@ -31,7 +31,11 @@ from repro.core import AnDroneSystem
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.flight.geo import offset_geopoint
 from repro.loadgen import abuse, workloads
-from repro.loadgen.invariants import InvariantMonitor, InvariantViolation
+from repro.loadgen.invariants import (
+    InvariantMonitor,
+    Violation,
+    assert_no_violations,
+)
 from repro.loadgen.scenario import FleetScenario, WORKLOADS
 from repro.mavproxy.server import GroundStation, VfcServer
 from repro.net.link import wifi
@@ -81,7 +85,7 @@ class FleetResult:
     duration_s: float
     waypoints_serviced: int
     tenants: Dict[str, TenantStats]
-    violations: List[InvariantViolation]
+    violations: List[Violation]
     invariant_checks: int
     restarts: int
     faults_injected: int
@@ -117,10 +121,7 @@ class FleetResult:
         return sorted(t for t, s in self.honest.items() if not s.completed)
 
     def assert_clean(self) -> None:
-        if self.violations:
-            lines = "\n".join(f"  {v}" for v in self.violations[:20])
-            raise AssertionError(
-                f"{len(self.violations)} invariant violation(s):\n{lines}")
+        assert_no_violations(self.violations)
 
     def to_dict(self) -> Dict:
         return {
@@ -153,7 +154,7 @@ class _DroneSlot:
     orders: List[Order] = field(default_factory=list)
     tenants: List[str] = field(default_factory=list)
     plans: List = field(default_factory=list)
-    #: runs ``AnDroneSystem.fly``; its result is the merged flight report.
+    #: runs ``FleetHarness._fly``; its result is the merged flight report.
     process: Optional[Process] = None
     #: per-tenant telemetry counts frozen the instant the drone's last
     #: flight completes (see FleetHarness._finalize_slot).
@@ -222,22 +223,21 @@ class FleetHarness:
             self.system.app_store.publish(title, blurb, android_xml,
                                           androne_xml)
 
+    def _waypoint(self, east: float, north: float) -> Dict[str, float]:
+        point = offset_geopoint(self.system.home, east, north)
+        return {
+            "latitude": point.latitude,
+            "longitude": point.longitude,
+            "altitude": 15,
+            "max-radius": self.scenario.geofence_radius_m,
+        }
+
     def _waypoints_for(self, tenant_index: int) -> List[Dict[str, float]]:
         """Each tenant gets its own column of waypoints east of home, so
         clusters never overlap and the planner tours them deterministically."""
-        scenario = self.scenario
-        east = (tenant_index + 1) * scenario.waypoint_spacing_m
-        points = []
-        for w in range(scenario.waypoints_per_tenant):
-            point = offset_geopoint(self.system.home, east,
-                                    (w + 1) * scenario.waypoint_spacing_m)
-            points.append({
-                "latitude": point.latitude,
-                "longitude": point.longitude,
-                "altitude": 15,
-                "max-radius": scenario.geofence_radius_m,
-            })
-        return points
+        spacing = self.scenario.waypoint_spacing_m
+        return [self._waypoint((tenant_index + 1) * spacing, (w + 1) * spacing)
+                for w in range(self.scenario.waypoints_per_tenant)]
 
     def _attack_waypoints_for(self, drone_index: int,
                               attacker_index: int) -> List[Dict[str, float]]:
@@ -246,14 +246,32 @@ class FleetHarness:
         scenario = self.scenario
         east = -(drone_index * scenario.attackers_per_drone
                  + attacker_index + 1) * scenario.waypoint_spacing_m
-        point = offset_geopoint(self.system.home, east,
-                                scenario.waypoint_spacing_m)
-        return [{
-            "latitude": point.latitude,
-            "longitude": point.longitude,
-            "altitude": 15,
-            "max-radius": scenario.geofence_radius_m,
-        }]
+        return [self._waypoint(east, scenario.waypoint_spacing_m)]
+
+    def _order(self, slot: _DroneSlot, user: str, workload: str,
+               waypoints: List[Dict[str, float]], package: str,
+               max_duration_s: float) -> Optional[Order]:
+        """Order one tenant onto ``slot`` at the portal; None when the
+        admission queue is full."""
+        scenario = self.scenario
+        try:
+            order = self.system.portal.order_virtual_drone(
+                user=user,
+                waypoints=waypoints,
+                drone_type=scenario.drone_type,
+                apps=[package],
+                max_charge=scenario.max_charge,
+                max_duration_s=max_duration_s,
+                geofence_radius_m=scenario.geofence_radius_m,
+            )
+        except PortalBusyError:
+            return None
+        slot.orders.append(order)
+        tenant = order.definition.name
+        slot.tenants.append(tenant)
+        self.tenant_workload[tenant] = workload
+        self.tenant_drone[tenant] = slot.index
+        return order
 
     def _build_drone(self, drone_index: int) -> _DroneSlot:
         scenario = self.scenario
@@ -276,22 +294,14 @@ class FleetHarness:
             self.fabric.protect_node(node)
         slot = _DroneSlot(index=drone_index, node=node)
 
-        orders = slot.orders
         for t in range(scenario.tenants_per_drone):
             tenant_index = drone_index * scenario.tenants_per_drone + t
             workload = scenario.workload_for(tenant_index)
             user = f"user{drone_index}-{t}"
-            try:
-                order = system.portal.order_virtual_drone(
-                    user=user,
-                    waypoints=self._waypoints_for(tenant_index),
-                    drone_type=scenario.drone_type,
-                    apps=[workloads.PACKAGES[workload]],
-                    max_charge=scenario.max_charge,
-                    max_duration_s=scenario.max_duration_s,
-                    geofence_radius_m=scenario.geofence_radius_m,
-                )
-            except PortalBusyError:
+            if self._order(slot, user, workload,
+                           self._waypoints_for(tenant_index),
+                           workloads.PACKAGES[workload],
+                           scenario.max_duration_s) is None:
                 # An order storm exhausted the admission queue before
                 # this honest user got in: real, measurable harm.
                 obs.event("abuse.order_refused", user=user,
@@ -299,47 +309,28 @@ class FleetHarness:
                 self._refused.append(TenantStats(
                     tenant=user, drone=drone_index, workload=workload,
                     admitted=False))
-                continue
-            orders.append(order)
-            tenant = order.definition.name
-            slot.tenants.append(tenant)
-            self.tenant_workload[tenant] = workload
-            self.tenant_drone[tenant] = drone_index
 
         if "binder-flood" in scenario.attack_mix:
             # The adversarial tenants order through the front door like
             # anyone else, in a parked id partition so honest tenant
-            # names stay identical with or without the attack.
+            # names stay identical with or without the attack.  An order
+            # refused because the attacker's own order storm filled the
+            # queue is self-inflicted, and simply skipped.
             system.portal.seek_order_ids(
                 10_000 + drone_index * scenario.attackers_per_drone + 1)
             for a in range(scenario.attackers_per_drone):
-                try:
-                    order = system.portal.order_virtual_drone(
-                        user=f"mallory{drone_index}-{a}",
-                        waypoints=self._attack_waypoints_for(drone_index, a),
-                        drone_type=scenario.drone_type,
-                        apps=[abuse.FLOOD_PACKAGE],
-                        max_charge=scenario.max_charge,
-                        max_duration_s=scenario.attack_duration_s,
-                        geofence_radius_m=scenario.geofence_radius_m,
-                    )
-                except PortalBusyError:
-                    # The attacker's own order storm filled the queue
-                    # before its flood tenant could order.  Self-inflicted.
-                    continue
-                orders.append(order)
-                tenant = order.definition.name
-                slot.tenants.append(tenant)
-                self.tenant_workload[tenant] = "binder-flood"
-                self.tenant_drone[tenant] = drone_index
+                self._order(slot, f"mallory{drone_index}-{a}",
+                            "binder-flood",
+                            self._attack_waypoints_for(drone_index, a),
+                            abuse.FLOOD_PACKAGE, scenario.attack_duration_s)
 
         planner = FlightPlanner(
             system.home, system.planner.model,
             fleet_size=system.planner.fleet_size,
             cruise_ms=system.planner.cruise_ms,
             rng=system.rng.stream(f"planner.sa.drone{drone_index}"))
-        slot.plans = system.plan_orders(orders, node, planner=planner)
-        for order in orders:
+        slot.plans = system.plan_orders(slot.orders, node, planner=planner)
+        for order in slot.orders:
             tenant = order.definition.name
             vdrone = system.start_tenant(order, node)
             session = self.fabric.session_for(tenant) \
@@ -448,15 +439,11 @@ class FleetHarness:
             spammer.start()
         self.monitor.start()
         for slot in self.slots:
-            slot.process = Process(
-                sim, self.system.fly(slot.node, slot.plans, slot.orders),
-                name=f"fleet-drone{slot.index}")
-        while not all(slot.process.done for slot in self.slots):
-            if not sim.step():
-                break
-            for slot in self.slots:
-                if slot.final_counts is None and slot.process.done:
-                    self._finalize_slot(slot)
+            slot.process = Process(sim, self._fly(slot),
+                                   name=f"fleet-drone{slot.index}")
+        sim.run()
+        # Only a heap that drained before every drone landed gets here
+        # with a slot still open.
         for slot in self.slots:
             self._finalize_slot(slot)
         self.monitor.stop()
@@ -464,10 +451,18 @@ class FleetHarness:
             spammer.stop()
         if self.fabric is not None:
             self.fabric.stop()
-        for slot in self.slots:
-            if slot.process.exception is not None:
-                raise slot.process.exception
         return self._collect()
+
+    def _fly(self, slot: _DroneSlot):
+        """One drone's process: fly its plans, freeze its counts, and end
+        the run once the last drone has landed, as the city harness ends
+        at its last settled order."""
+        report = yield from self.system.fly(slot.node, slot.plans,
+                                            slot.orders)
+        self._finalize_slot(slot)
+        if all(other.final_counts is not None for other in self.slots):
+            self.system.sim.clear()
+        return report
 
     def _finalize_slot(self, slot: _DroneSlot) -> None:
         """Power down one drone's telemetry the instant its last flight

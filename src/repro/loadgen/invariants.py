@@ -18,6 +18,8 @@ at *every* instant, not just at the end of a flight:
 
 Violations are collected, not raised, so a soak reports *all* breakage;
 ``InvariantMonitor.assert_clean()`` is the one-liner for tests.
+:class:`SweepMonitor` and :class:`Violation` are shared with the city's
+control-plane monitor (:mod:`repro.loadgen.city`).
 
 The checks read plain attributes only (``policy._tenants`` phases via
 ``phase_of``, autopilot position, battery accounts) — they never call
@@ -47,34 +49,77 @@ TIME_SLACK_S = 30.0
 
 
 @dataclass(frozen=True)
-class InvariantViolation:
-    """One broken promise, timestamped on the sim clock."""
+class Violation:
+    """One broken promise, timestamped on the sim clock: ``subject`` is
+    the drone, tenant or shard that broke ``rule``."""
 
     t_us: int
-    drone: str
+    subject: str
     rule: str
     detail: str
 
     def __str__(self) -> str:
-        return (f"[t={self.t_us / 1e6:.2f}s] {self.drone}: "
+        return (f"[t={self.t_us / 1e6:.2f}s] {self.subject}: "
                 f"{self.rule}: {self.detail}")
 
 
-class InvariantMonitor:
+def assert_no_violations(violations: List[Violation]) -> None:
+    """Raise ``AssertionError`` listing the first 20 violations, if any."""
+    if violations:
+        lines = "\n".join(f"  {v}" for v in violations[:20])
+        more = len(violations) - 20
+        suffix = f"\n  ... and {more} more" if more > 0 else ""
+        raise AssertionError(
+            f"{len(violations)} invariant violation(s):\n{lines}{suffix}")
+
+
+class SweepMonitor:
+    """Runs ``_sweep`` every ``interval_s`` of sim time between
+    :meth:`start` and :meth:`stop`.
+
+    A sweep records each broken rule through ``_flag``; read
+    ``violations`` (or call :meth:`assert_clean`) after the run.
+    ``checks`` counts finished sweeps, so tests can prove the monitor
+    actually ran.
+    """
+
+    def __init__(self, sim, interval_s: float):
+        self.sim = sim
+        self.interval_us = int(interval_s * 1e6)
+        self.violations: List[Violation] = []
+        self.checks = 0
+        self._loop = Periodic(sim, self.interval_us, self._run)
+
+    def start(self):
+        self._loop.start()
+        return self
+
+    def stop(self) -> None:
+        self._loop.stop()
+
+    def assert_clean(self) -> None:
+        assert_no_violations(self.violations)
+
+    def _flag(self, subject: str, rule: str, detail: str) -> None:
+        self.violations.append(Violation(self.sim.now, subject, rule, detail))
+
+    def _run(self) -> None:
+        self._sweep()
+        self.checks += 1
+
+    def _sweep(self) -> None:
+        raise NotImplementedError
+
+
+class InvariantMonitor(SweepMonitor):
     """Periodically checks every watched drone node.
 
-    ``watch(name, node)`` before ``start()``; read ``violations`` (or
-    call ``assert_clean()``) after the run.  ``checks`` counts completed
-    sweeps so tests can prove the monitor actually ran.
+    ``watch(name, node)`` before ``start()``.
     """
 
     def __init__(self, sim, interval_s: float = 0.5):
-        self.sim = sim
-        self.interval_us = int(interval_s * 1e6)
-        self.violations: List[InvariantViolation] = []
-        self.checks = 0
+        super().__init__(sim, interval_s)
         self._nodes: Dict[str, object] = {}
-        self._loop = Periodic(sim, self.interval_us, self._sweep)
         # high-water marks for the accounting invariants.
         self._time_seen: Dict[Tuple[str, str], float] = {}
         self._energy_seen: Dict[Tuple[str, str], float] = {}
@@ -97,27 +142,6 @@ class InvariantMonitor:
         self._fabric = fabric
         return self
 
-    def start(self) -> "InvariantMonitor":
-        self._loop.start()
-        return self
-
-    def stop(self) -> None:
-        self._loop.stop()
-
-    # -- reporting ------------------------------------------------------------
-    def assert_clean(self) -> None:
-        if self.violations:
-            lines = "\n".join(f"  {v}" for v in self.violations[:20])
-            more = len(self.violations) - 20
-            suffix = f"\n  ... and {more} more" if more > 0 else ""
-            raise AssertionError(
-                f"{len(self.violations)} invariant violation(s):\n"
-                f"{lines}{suffix}")
-
-    def _flag(self, drone: str, rule: str, detail: str) -> None:
-        self.violations.append(
-            InvariantViolation(self.sim.now, drone, rule, detail))
-
     # -- the sweep ------------------------------------------------------------
     def _sweep(self) -> None:
         for name, node in self._nodes.items():
@@ -127,7 +151,6 @@ class InvariantMonitor:
         self._check_counters()
         if self._fabric is not None:
             self._check_security()
-        self.checks += 1
 
     def _check_security(self) -> None:
         grace_us = 2 * self.interval_us

@@ -3,7 +3,8 @@
 A :class:`FleetScenario` is a plain, seeded description of a fleet run —
 how many drones, how many tenants each, which workload mix, how much
 chaos — that round-trips through JSON so soak configurations can be
-checked in, diffed, and replayed bit-for-bit.
+checked in, diffed, and replayed bit-for-bit.  The round trip lives in
+:class:`Scenario`, which the city's scenario shares.
 """
 
 from __future__ import annotations
@@ -15,6 +16,44 @@ from typing import Any, Dict, List
 
 class ScenarioError(ValueError):
     """Invalid scenario field or malformed scenario JSON."""
+
+
+class Scenario:
+    """Base of the scenario dataclasses: validated on construction,
+    round-tripped through JSON.  Subclasses define their fields and
+    :meth:`validate`."""
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        raise NotImplementedError
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]):
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
+        try:
+            return cls(**data)
+        except TypeError as bad:
+            raise ScenarioError(str(bad)) from bad
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as bad:
+            raise ScenarioError(f"malformed scenario JSON: {bad}") from bad
+        if not isinstance(data, dict):
+            raise ScenarioError("scenario JSON must be an object")
+        return cls.from_dict(data)
 
 
 #: The workload kinds the harness knows how to drive (see workloads.py).
@@ -38,7 +77,7 @@ MAX_CHAOS_LEVEL = 2
 
 
 @dataclass
-class FleetScenario:
+class FleetScenario(Scenario):
     """One soak run, as data.  ``seed`` makes the whole run replayable."""
 
     seed: int = 42
@@ -78,9 +117,6 @@ class FleetScenario:
     attack_duration_s: float = 25.0
     #: wire the SecurityFabric in (guards, secure channel, simplex).
     security_enabled: bool = False
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if not isinstance(self.seed, int):
@@ -138,31 +174,3 @@ class FleetScenario:
 
     def workload_for(self, tenant_index: int) -> str:
         return self.workload_mix[tenant_index % len(self.workload_mix)]
-
-    # -- JSON round trip ----------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FleetScenario":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as bad:
-            raise ScenarioError(str(bad)) from bad
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetScenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as bad:
-            raise ScenarioError(f"malformed scenario JSON: {bad}") from bad
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario JSON must be an object")
-        return cls.from_dict(data)

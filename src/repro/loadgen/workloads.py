@@ -25,6 +25,7 @@ from typing import Callable
 
 import repro.obs as obs
 from repro.binder.driver import TransientBinderError
+from repro.security.errors import RateLimitError
 from repro.sdk.listener import WaypointListener
 
 PACKAGES = {
@@ -92,14 +93,29 @@ def manifests_for(workload: str):
     return _MANIFESTS[workload]
 
 
-def _outcome(reply) -> str:
-    if reply.get("denied"):
-        return "denied"
-    if reply.get("transient"):
-        return "transient"
-    if reply.get("status") == "ok":
-        return "ok"
-    return "error"
+def _call(app, workload: str, service: str, code: str, data: dict) -> str:
+    """Call one device service and count its outcome under
+    ``loadgen.calls``: ok, denied, error, transient (a binder failure)
+    or throttled (a rate guard refused it)."""
+    try:
+        reply = app.call_service(service, code, dict(data))
+    except TransientBinderError:
+        outcome = "transient"
+    except RateLimitError:  # repro-lint: disable=flow-exceptions
+        # The throttle IS the outcome, counted below; the rate guard
+        # already fed the pressure detector.
+        outcome = "throttled"
+    else:
+        if reply.get("denied"):
+            outcome = "denied"
+        elif reply.get("transient"):
+            outcome = "transient"
+        elif reply.get("status") == "ok":
+            outcome = "ok"
+        else:
+            outcome = "error"
+    obs.counter("loadgen.calls", workload=workload, outcome=outcome).inc()
+    return outcome
 
 
 def _alive(app, vdrone) -> bool:
@@ -125,13 +141,7 @@ def survey_installer(scenario) -> Callable:
                 if not _alive(app, vdrone):
                     return
                 key = f"shots@{self.index}"
-                try:
-                    reply = app.call_service("CameraService", "capture")
-                except TransientBinderError:
-                    reply = {"transient": True}
-                outcome = _outcome(reply)
-                obs.counter("loadgen.calls", workload="survey",
-                            outcome=outcome).inc()
+                outcome = _call(app, "survey", "CameraService", "capture", {})
                 if outcome == "denied":
                     return
                 if outcome != "ok":
@@ -171,15 +181,8 @@ def storm_installer(scenario) -> Callable:
                 key = f"calls@{self.index}"
                 fired = app.memory.get(key, 0)
                 for _ in range(min(4, total - fired)):
-                    service, code, data = STORM_CALLS[fired % len(STORM_CALLS)]
-                    try:
-                        reply = app.call_service(service, code, dict(data))
-                    except TransientBinderError:
-                        reply = {"transient": True}
-                    outcome = _outcome(reply)
-                    obs.counter("loadgen.calls", workload="storm",
-                                outcome=outcome).inc()
-                    if outcome == "denied":
+                    if _call(app, "storm", *STORM_CALLS[
+                            fired % len(STORM_CALLS)]) == "denied":
                         return
                     fired += 1
                     app.memory[key] = fired
@@ -222,14 +225,8 @@ def feed_installer(scenario, attach_frontend) -> Callable:
             def tick(self):
                 if not _alive(app, vdrone):
                     return
-                try:
-                    reply = app.call_service("CameraService", "capture")
-                except TransientBinderError:
-                    reply = {"transient": True}
-                outcome = _outcome(reply)
-                obs.counter("loadgen.calls", workload="camera-feed",
-                            outcome=outcome).inc()
-                if outcome == "ok":
+                if _call(app, "camera-feed", "CameraService", "capture",
+                         {}) == "ok":
                     total = app.memory.get("frames", 0) + 1
                     app.memory["frames"] = total
                     channel.push_camera_frame({"t_us": sim.now, "n": total})

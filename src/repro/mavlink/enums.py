@@ -58,12 +58,6 @@ class MavState(enum.IntEnum):
     EMERGENCY = 6
 
 
-class MavType(enum.IntEnum):
-    GENERIC = 0
-    QUADROTOR = 2
-    GCS = 6
-
-
 #: MAV_MODE_FLAG bits carried in the heartbeat base_mode.
 CUSTOM_MODE_ENABLED = 1
 SAFETY_ARMED = 128

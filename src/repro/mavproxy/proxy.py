@@ -82,21 +82,12 @@ class MavProxy:
                   continuous_view=continuous_view)
         return vfc
 
-    def vfc_for(self, container: str) -> VirtualFlightController:
-        return self.vfcs[container]
-
     # -- master (flight planner) interface: unrestricted -------------------------------
     def master_command(self, cmd: CommandLong) -> MavResult:
         self.master_commands += 1
         obs.counter("mavproxy.commands", source="master", kind="command").inc()
         ack = self.drone.handle_mavlink(cmd)
         return MavResult(ack.result) if ack is not None else MavResult.FAILED
-
-    def master_position_target(self, msg: SetPositionTarget) -> None:
-        self.master_commands += 1
-        obs.counter("mavproxy.commands", source="master",
-                    kind="position_target").inc()
-        self.drone.handle_mavlink(msg)
 
     def master_set_mode(self, mode: CopterMode) -> MavResult:
         return self.drone.autopilot.set_mode(mode)

@@ -90,9 +90,6 @@ class Tracer:
         #: default traces are byte-identical to pre-context ones.
         self._context: Dict[str, Any] = {}
 
-    def set_clock(self, clock: Callable[[], int]) -> None:
-        self._clock = clock
-
     def set_context(self, **attrs: Any) -> None:
         """Replace the run-level context carried by subsequent records.
 

@@ -27,8 +27,3 @@ def seconds(s: float) -> int:
 def to_seconds(us: int) -> float:
     """Convert integer microseconds back to float seconds."""
     return us / MICROS_PER_SEC
-
-
-def to_millis(us: int) -> float:
-    """Convert integer microseconds back to float milliseconds."""
-    return us / MICROS_PER_MS

@@ -15,6 +15,7 @@ from repro.devices.battery import Battery
 from repro.flight import GeoPoint, SitlDrone
 from repro.kernel.interrupts import IrqSource
 from repro.loadgen.abuse import MavlinkSpammer
+from repro.loadgen import FleetHarness, FleetScenario
 from repro.loadgen.city import CityHarness, CityScenario
 from repro.loadgen.invariants import InvariantMonitor
 from repro.mavproxy import MavProxy
@@ -376,3 +377,19 @@ def test_city_watchdog_stops_every_loop_from_inside(max_sim_s):
     assert harness.sim.pending() == 0
     assert not (harness._watchdog.running or harness._rollups.running)
     assert result.invariant_checks > 0
+
+
+def test_fleet_run_ends_at_its_last_landing():
+    harness = FleetHarness(FleetScenario(
+        seed=1, drones=2, tenants_per_drone=1, workload_mix=["survey"]))
+    result = harness.run()
+    # The last drone to land cleared the simulator, so nothing queued
+    # after that landing is left behind, and the clock stops there.
+    sim = harness.system.sim
+    assert sim.pending() == 0
+    assert sim.now == 60_500_000
+    assert not harness.monitor._loop.running
+    for slot in harness.slots:
+        proxy = slot.node.proxy
+        assert not (proxy._heartbeats.running or proxy._positions.running)
+    assert len(result.completed) == 2 and result.invariant_checks > 0
