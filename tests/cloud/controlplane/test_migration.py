@@ -111,6 +111,37 @@ class TestMigrationViaVdr:
                     if e.get("kind") == "drone_restart"]
         assert restarts and restarts[0]["drone"] == "pd-b"
 
+    def test_slot_raced_mid_import_aborts_and_replaces(self):
+        sim = Simulator()
+        plane = make_plane(sim, [spec("pd-a"),
+                                 spec("pd-b", east=500.0, capacity=1)])
+        record = submit(plane)
+        # The import window opens ~43.25 s in (see the restart test);
+        # a fresh order next to pd-b takes its only slot inside it.
+        seen = []
+
+        def fresh_order():
+            seen.append(record.ticket.state)
+            submit(plane, user="bob", legs=1, east=500.0)
+
+        sim.after(int(43.5e6), fresh_order)
+        sim.run()
+        assert seen == [MigrationState.IMPORTING]
+        assert plane.records["bob-order2"].drone_id == "pd-b"
+        aborted = [e for e in plane.journal_entries()
+                   if e.get("kind") == "migration_aborted"]
+        assert len(aborted) == 1
+        assert "pd-b no longer feasible" in aborted[0]["reason"]
+        ticket = record.ticket
+        states = [name for _, name in ticket.history]
+        steps = list(zip(states, states[1:]))
+        assert ("importing", "placing") in steps
+        # Re-placed once bob's flight took off and freed the slot.
+        assert ticket.state is MigrationState.COMPLETED
+        assert ticket.target_drone == "pd-b"
+        assert ticket.attempts == 2
+        assert record.state == "completed"
+
     def test_no_target_fails_typed_and_releases_the_slot(self):
         sim = Simulator()
         plane = make_plane(sim, [spec("pd-a")],
