@@ -7,7 +7,6 @@ the container is the device container.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional
 
 from repro.android.activity_manager import ActivityManager
@@ -16,24 +15,6 @@ from repro.android.manifest import AndroidManifest, AnDroneManifest
 from repro.android.system_server import SystemServer
 from repro.binder import BinderDriver, BinderError, ServiceManager
 from repro.kernel.namespaces import Namespace
-
-# Kernel-scoped (per BinderDriver) pid/uid allocation, lazily attached to
-# the driver on first use.  Module-global counters would leak process
-# lifetime into uids — which appear in telemetry events — and break the
-# replay guarantee that two identical in-process runs trace identically
-# (the same class of fix as the PR-2 instance-scoped order/VDR ids).
-
-
-def _alloc_pid(driver) -> int:
-    if not hasattr(driver, "_pid_counter"):
-        driver._pid_counter = itertools.count(1000)
-    return next(driver._pid_counter)
-
-
-def _alloc_uid(driver) -> int:
-    if not hasattr(driver, "_uid_counter"):
-        driver._uid_counter = itertools.count(10_000)
-    return next(driver._uid_counter)
 
 
 class AndroidEnvironment:
@@ -62,7 +43,7 @@ class AndroidEnvironment:
             PermissionCache() if is_device_container else None
 
         self.binder_proc = driver.open(
-            _alloc_pid(driver), euid=1000, container=container_name,
+            next(driver.pids), euid=1000, container=container_name,
             device_ns=device_ns
         )
         self.service_manager = ServiceManager(
@@ -107,12 +88,12 @@ class AndroidEnvironment:
         """Install an app: assign a uid, grant install-time permissions."""
         if android_manifest.package in self.apps:
             raise ValueError(f"app {android_manifest.package!r} already installed")
-        uid = _alloc_uid(self.driver)
+        uid = next(self.driver.uids)
         self.activity_manager.grant_install_permissions(
             android_manifest.package, uid, android_manifest.permissions
         )
         app = App(self, android_manifest, androne_manifest, uid=uid,
-                  pid=_alloc_pid(self.driver), container=container)
+                  pid=next(self.driver.pids), container=container)
         self.apps[android_manifest.package] = app
         return app
 

@@ -260,6 +260,11 @@ class BinderDriver:
         self._node_ids = itertools.count(1)
         self._context_managers: Dict[int, BinderNode] = {}
         self._processes: list = []
+        #: pid and uid allocation for the Android userspaces on this
+        #: driver.  Ids appear in telemetry, so they are per driver:
+        #: two identical runs in one process number them the same.
+        self.pids = itertools.count(1000)
+        self.uids = itertools.count(10_000)
         #: name of the container allowed to call PUBLISH_TO_ALL_NS.
         self.device_container_name = device_container_name
         #: namespace of the device container, learned at SET_CONTEXT_MGR time.

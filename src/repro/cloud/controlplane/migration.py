@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.cloud.controlplane.errors import (
@@ -101,6 +101,11 @@ class MigrationTicket:
     failure: Optional[str] = None
     #: (t_us, state) per transition, REQUESTED included.
     history: List[Tuple[int, str]] = field(default_factory=list)
+    #: the home shard's VDR and the ``cp.migration`` span, both set by
+    #: :meth:`MigrationCoordinator.begin`.
+    vdr: Optional[VirtualDroneRepository] = field(
+        default=None, repr=False, compare=False)
+    span: Any = field(default=None, repr=False, compare=False)
 
     def transition(self, to: MigrationState, t_us: int) -> None:
         if to not in TRANSITIONS[self.state]:
@@ -113,40 +118,46 @@ class MigrationTicket:
 
 
 class MigrationCoordinator:
-    """Runs migration tickets to completion on the sim clock."""
+    """Runs migration tickets to completion on the sim clock.
+
+    ``on_placed`` commits a tenant to its new drone (raising
+    :class:`DroneStateError` when the slot went elsewhere meanwhile);
+    ``on_failed`` finalizes the order as interrupted."""
 
     def __init__(self, sim, placer: PlacementPolicy, fleet: FleetDirectory,
-                 retry_limit: int = 2, retry_backoff_s: float = 5.0,
-                 journal: Optional[Callable[..., None]] = None):
+                 on_placed: Callable[[MigrationTicket, PlacementDecision],
+                                     None],
+                 on_failed: Callable[[MigrationTicket, MigrationError], None],
+                 journal: Callable[..., None],
+                 retry_limit: int = 2, retry_backoff_s: float = 5.0):
         self.sim = sim
         self.placer = placer
         self.fleet = fleet
+        self._on_placed = on_placed
+        self._on_failed = on_failed
+        self._journal = journal
         self.retry_limit = retry_limit
         self.retry_backoff_us = int(retry_backoff_s * 1e6)
-        self._journal = journal or (lambda **kw: None)
         self.tickets: List[MigrationTicket] = []
 
     # -- entry point ------------------------------------------------------------
-    def begin(self, ticket: MigrationTicket, vdr: VirtualDroneRepository,
-              on_placed: Callable[[MigrationTicket, PlacementDecision], None],
-              on_failed: Callable[[MigrationTicket, MigrationError], None],
-              ) -> MigrationTicket:
-        """Start ``ticket``; ``on_placed`` commits the tenant to its new
-        drone, ``on_failed`` finalizes the order as interrupted."""
+    def begin(self, ticket: MigrationTicket,
+              vdr: VirtualDroneRepository) -> MigrationTicket:
+        """Start ``ticket``, exporting into the home shard's ``vdr``."""
         ticket.history.append((self.sim.now, ticket.state.value))
         self.tickets.append(ticket)
-        span = obs.span("cp.migration", tenant=ticket.tenant,
-                        source=ticket.source_drone)
+        ticket.vdr = vdr
+        ticket.span = obs.span("cp.migration", tenant=ticket.tenant,
+                               source=ticket.source_drone)
         obs.counter("cp.migrations", outcome="started").inc()
         self._journal(kind="migration_requested", tenant=ticket.tenant,
                       source=ticket.source_drone)
         ticket.transition(MigrationState.EXPORTING, self.sim.now)
-        self.sim.after(EXPORT_US, lambda: self._export_done(
-            ticket, vdr, span, on_placed, on_failed))
+        self.sim.after(EXPORT_US, lambda: self._export_done(ticket))
         return ticket
 
     # -- steps ------------------------------------------------------------------
-    def _export_done(self, ticket, vdr, span, on_placed, on_failed) -> None:
+    def _export_done(self, ticket: MigrationTicket) -> None:
         resume_state = json.dumps({
             "tenant": ticket.tenant,
             "source": ticket.source_drone,
@@ -154,94 +165,78 @@ class MigrationCoordinator:
         }, sort_keys=True)
         diff = Layer({"/data/resume.json": resume_state},
                      comment=f"migration of {ticket.tenant}")
-        ticket.entry_id = vdr.store(
+        ticket.entry_id = ticket.vdr.store(
             ticket.tenant, ticket.definition, BASE_IMAGE_TAG, diff,
             resumable=True, completed_waypoints=ticket.completed_waypoints)
         ticket.transition(MigrationState.STORED, self.sim.now)
         self._journal(kind="migration_stored", tenant=ticket.tenant,
                       entry=ticket.entry_id)
         ticket.transition(MigrationState.PLACING, self.sim.now)
-        self._try_place(ticket, vdr, span, on_placed, on_failed)
+        self._try_place(ticket)
 
-    def _try_place(self, ticket, vdr, span, on_placed, on_failed) -> None:
+    def _try_place(self, ticket: MigrationTicket) -> None:
         ticket.attempts += 1
         try:
             decision = self.placer.place(
                 ticket.request, self.fleet.states(exclude=ticket.source_drone))
         except NoFeasiblePlacementError as full:
-            self._retry_or_fail(
-                ticket, vdr, span, on_placed, on_failed,
-                MigrationTargetError(str(full)))
+            self._retry_or_fail(ticket, MigrationTargetError(str(full)))
             return
         ticket.target_drone = decision.drone_id
         ticket.transition(MigrationState.IMPORTING, self.sim.now)
-        self.sim.after(IMPORT_US, lambda: self._import_done(
-            ticket, vdr, span, decision, on_placed, on_failed))
+        self.sim.after(IMPORT_US,
+                       lambda: self._import_done(ticket, decision))
 
-    def _import_done(self, ticket, vdr, span, decision,
-                     on_placed, on_failed) -> None:
+    def _import_done(self, ticket: MigrationTicket,
+                     decision: PlacementDecision) -> None:
         try:
-            vdr.fetch(ticket.entry_id)
+            ticket.vdr.fetch(ticket.entry_id)
         except UnknownVdrEntryError as gone:
-            self._abort(ticket, vdr, span, on_placed, on_failed,
-                        MigrationAbortedError(
-                            ticket.tenant, f"VDR entry vanished: {gone}"))
+            self._abort(ticket, f"VDR entry vanished: {gone}")
             return
-        target = self.fleet.get(decision.drone_id)
-        if not target.available:
-            self._abort(ticket, vdr, span, on_placed, on_failed,
-                        MigrationAbortedError(
-                            ticket.tenant,
-                            f"target {decision.drone_id} restarted "
-                            f"mid-import"))
+        if not self.fleet.get(decision.drone_id).available:
+            self._abort(ticket,
+                        f"target {decision.drone_id} restarted mid-import")
             return
         try:
-            on_placed(ticket, decision)
+            self._on_placed(ticket, decision)
         except DroneStateError as raced:
             # The slot went to a fresh order between PLACING and now.
-            self._abort(ticket, vdr, span, on_placed, on_failed,
-                        MigrationAbortedError(ticket.tenant, str(raced)))
+            self._abort(ticket, str(raced))
             return
-        vdr.delete(ticket.entry_id)  # checked out of the repository
+        ticket.vdr.delete(ticket.entry_id)  # checked out of the repository
         ticket.transition(MigrationState.COMPLETED, self.sim.now)
         obs.counter("cp.migrations", outcome="completed").inc()
         self._journal(kind="migration_completed", tenant=ticket.tenant,
                       source=ticket.source_drone, target=ticket.target_drone)
-        span.end(outcome="completed", target=ticket.target_drone,
-                 attempts=ticket.attempts)
+        ticket.span.end(outcome="completed", target=ticket.target_drone,
+                        attempts=ticket.attempts)
 
     # -- failure handling -------------------------------------------------------
-    def _abort(self, ticket, vdr, span, on_placed, on_failed,
-               error: MigrationAbortedError) -> None:
+    def _abort(self, ticket: MigrationTicket, reason: str) -> None:
+        """Drop the IMPORTING target and loop back to PLACING."""
         ticket.target_drone = None
         self._journal(kind="migration_aborted", tenant=ticket.tenant,
-                      reason=error.reason)
-        try:
-            ticket.transition(MigrationState.PLACING, self.sim.now)
-        except MigrationStateError:
-            # The entry itself is gone; nothing left to place.
-            self._fail(ticket, span, on_failed, error)
-            return
-        self._retry_or_fail(ticket, vdr, span, on_placed, on_failed, error)
+                      reason=reason)
+        ticket.transition(MigrationState.PLACING, self.sim.now)
+        self._retry_or_fail(ticket,
+                            MigrationAbortedError(ticket.tenant, reason))
 
-    def _retry_or_fail(self, ticket, vdr, span, on_placed, on_failed,
+    def _retry_or_fail(self, ticket: MigrationTicket,
                        error: MigrationError) -> None:
         if ticket.attempts <= self.retry_limit:
             obs.counter("cp.migrations", outcome="retried").inc()
-            self.sim.after(self.retry_backoff_us, lambda: self._try_place(
-                ticket, vdr, span, on_placed, on_failed))
+            self.sim.after(self.retry_backoff_us,
+                           lambda: self._try_place(ticket))
             return
-        self._fail(ticket, span, on_failed, error)
-
-    def _fail(self, ticket, span, on_failed, error: MigrationError) -> None:
         ticket.failure = str(error)
         ticket.transition(MigrationState.FAILED, self.sim.now)
         obs.counter("cp.migrations", outcome="failed").inc()
         self._journal(kind="migration_failed", tenant=ticket.tenant,
                       reason=str(error))
-        span.end(outcome="failed", reason=str(error),
-                 attempts=ticket.attempts)
-        on_failed(ticket, error)
+        ticket.span.end(outcome="failed", reason=str(error),
+                        attempts=ticket.attempts)
+        self._on_failed(ticket, error)
 
     # -- reporting --------------------------------------------------------------
     def stats(self) -> dict:

@@ -93,48 +93,38 @@ class PlacementPolicy:
         raise NotImplementedError
 
 
+#: :class:`BinPackingPlacer` score weights, and the distance that counts
+#: as one unit of locality.
+ENERGY_WEIGHT = 1.0
+TIME_WEIGHT = 0.5
+LOCALITY_WEIGHT = 1.0
+CLASS_WEIGHT = 0.25
+LOCALITY_SCALE_M = 1000.0
+
+
 class BinPackingPlacer(PlacementPolicy):
     """Weighted best-fit over headroom, locality, and whitelist slack.
 
     Lower score wins.  Headroom terms are the *leftover* fraction of the
     budget after placement (best-fit packs tight); the locality term is
-    distance normalized by ``locality_scale_m``; the class term is how
-    many capability ranks the drone would waste on this tenant.
+    distance normalized by :data:`LOCALITY_SCALE_M`; the class term is
+    how many capability ranks the drone would waste on this tenant.
     """
 
     name = "binpack"
-
-    def __init__(self, energy_weight: float = 1.0, time_weight: float = 0.5,
-                 locality_weight: float = 1.0, class_weight: float = 0.25,
-                 locality_scale_m: float = 1000.0):
-        for label, value in (("energy_weight", energy_weight),
-                             ("time_weight", time_weight),
-                             ("locality_weight", locality_weight),
-                             ("class_weight", class_weight)):
-            if value < 0:
-                raise ControlPlaneConfigError(
-                    f"{label} must be >= 0, got {value}")
-        if locality_scale_m <= 0:
-            raise ControlPlaneConfigError(
-                f"locality_scale_m must be positive, got {locality_scale_m}")
-        self.energy_weight = energy_weight
-        self.time_weight = time_weight
-        self.locality_weight = locality_weight
-        self.class_weight = class_weight
-        self.locality_scale_m = locality_scale_m
 
     def score(self, drone: DroneState, request: PlacementRequest) -> float:
         energy_left = (drone.energy_headroom_j - request.energy_j) \
             / drone.spec.energy_budget_j
         time_left = (drone.time_headroom_s - request.duration_s) \
             / drone.spec.time_budget_s
-        distance = _distance_m(drone, request) / self.locality_scale_m
+        distance = _distance_m(drone, request) / LOCALITY_SCALE_M
         class_slack = (whitelist_rank(drone.spec.whitelist_class)
                        - whitelist_rank(request.whitelist_class))
-        return (self.energy_weight * energy_left
-                + self.time_weight * time_left
-                + self.locality_weight * distance
-                + self.class_weight * class_slack)
+        return (ENERGY_WEIGHT * energy_left
+                + TIME_WEIGHT * time_left
+                + LOCALITY_WEIGHT * distance
+                + CLASS_WEIGHT * class_slack)
 
     def place(self, request: PlacementRequest,
               drones: Sequence[DroneState]) -> PlacementDecision:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set
 
 import repro.obs as obs
 from repro.cloud.controlplane.errors import (
@@ -33,7 +33,6 @@ from repro.cloud.controlplane.migration import (
 )
 from repro.cloud.controlplane.placement import (
     PlacementDecision,
-    PlacementPolicy,
     PlacementRequest,
     feasible,
     make_placer,
@@ -83,8 +82,7 @@ class CityControlPlane:
     """Shard router + fleet directory + placer + migration coordinator."""
 
     def __init__(self, sim, specs: List[DroneSpec], shard_count: int = 4,
-                 placer: Union[str, PlacementPolicy] = "binpack",
-                 max_pending: int = 32, vnodes: int = 64,
+                 placer: str = "binpack", max_pending: int = 32,
                  dispatch_delay_s: float = 5.0,
                  flight_overhead_s: float = 30.0,
                  service_fraction: float = 0.25,
@@ -106,18 +104,17 @@ class CityControlPlane:
         ]
         self._shards_by_id = {shard.shard_id: shard for shard in self.shards}
         self.router = ConsistentHashRouter(
-            [shard.shard_id for shard in self.shards], vnodes=vnodes)
+            [shard.shard_id for shard in self.shards])
         self.fleet = FleetDirectory(specs)
-        self.placer = placer if isinstance(placer, PlacementPolicy) \
-            else make_placer(placer)
+        self.placer = make_placer(placer)
         self.dispatch_delay_us = int(dispatch_delay_s * 1e6)
         self.flight_overhead_s = flight_overhead_s
         self.service_fraction = service_fraction
         self.migrations = MigrationCoordinator(
-            sim, self.placer, self.fleet,
+            sim, self.placer, self.fleet, self._migration_placed,
+            self._migration_failed, self.journal,
             retry_limit=migration_retry_limit,
-            retry_backoff_s=migration_retry_backoff_s,
-            journal=self.journal)
+            retry_backoff_s=migration_retry_backoff_s)
         self.records: Dict[str, TenantRecord] = {}
         #: tenants whose record was written since the invariant monitor
         #: last drained this set; every record the plane creates feeds it.
@@ -192,17 +189,23 @@ class CityControlPlane:
         self._commit_placement(record, order, decision)
         return record
 
-    def _commit_placement(self, record: TenantRecord, order: Order,
-                          decision: PlacementDecision) -> None:
-        drone = self.fleet.get(decision.drone_id)
-        drone.enqueue(record.request.as_placed())
+    def _enqueue(self, record: TenantRecord,
+                 decision: PlacementDecision) -> None:
+        """Queue ``record`` on the drone ``decision`` chose — the one
+        placement commit, shared by fresh orders and migrations."""
+        self.fleet.get(decision.drone_id).enqueue(
+            record.request.as_placed())
         record.drone_id = decision.drone_id
         record.state = "queued"
-        self.records[record.tenant] = record
         self._locality_sum_m += decision.distance_m
         self._locality_count += 1
         obs.counter("cp.placements", drone=decision.drone_id,
                     policy=self.placer.name).inc()
+
+    def _commit_placement(self, record: TenantRecord, order: Order,
+                          decision: PlacementDecision) -> None:
+        self._enqueue(record, decision)
+        self.records[record.tenant] = record
         window_start_s = (self.sim.now + self.dispatch_delay_us) / 1e6
         self._shards_by_id[record.shard_id].portal.confirm_window(
             order.order_id, window_start_s,
@@ -283,27 +286,17 @@ class CityControlPlane:
             request=record.request, definition=order.definition,
             completed_waypoints=completed)
         record.ticket = ticket
-        self.migrations.begin(ticket, shard.vdr,
-                              on_placed=self._migration_placed,
-                              on_failed=self._migration_failed)
+        self.migrations.begin(ticket, shard.vdr)
 
     def _migration_placed(self, ticket: MigrationTicket,
                           decision: PlacementDecision) -> None:
-        record = self.records[ticket.tenant]
-        drone = self.fleet.get(decision.drone_id)
-        if not feasible(drone, ticket.request):
+        if not feasible(self.fleet.get(decision.drone_id), ticket.request):
             # Headroom taken by fresh orders between PLACING and now;
             # the coordinator treats this as a retryable abort.
             raise DroneStateError(
                 f"{decision.drone_id} no longer feasible for "
                 f"{ticket.tenant!r}")
-        drone.enqueue(ticket.request.as_placed())
-        record.drone_id = decision.drone_id
-        record.state = "queued"
-        self._locality_sum_m += decision.distance_m
-        self._locality_count += 1
-        obs.counter("cp.placements", drone=decision.drone_id,
-                    policy=self.placer.name).inc()
+        self._enqueue(self.records[ticket.tenant], decision)
         self._maybe_schedule_flight(decision.drone_id)
 
     def _migration_failed(self, ticket: MigrationTicket,

@@ -172,18 +172,16 @@ class WebPortal:
                 obs.counter("portal.rejected", user=user).inc()
                 raise PortalBusyError(
                     str(busy), retry_after_s=busy.retry_after_s) from busy
-            try:
-                return self._submit_order(
-                    user, waypoints, drone_type, apps, app_args, max_charge,
-                    max_duration_s, geofence_radius_m, extra_devices,
-                    schedule_mode)
-            except PortalError:
-                # Invalid orders never occupy a pending slot.
+        try:
+            return self._submit_order(
+                user, waypoints, drone_type, apps, app_args, max_charge,
+                max_duration_s, geofence_radius_m, extra_devices,
+                schedule_mode)
+        except PortalError:
+            # Invalid orders never occupy a pending slot.
+            if self.admission is not None:
                 self.admission.release()
-                raise
-        return self._submit_order(
-            user, waypoints, drone_type, apps, app_args, max_charge,
-            max_duration_s, geofence_radius_m, extra_devices, schedule_mode)
+            raise
 
     def _submit_order(
         self,
@@ -233,9 +231,10 @@ class WebPortal:
             else:
                 raise PortalError(f"bad access type {access!r}")
         energy_j = self.billing.max_charge_to_energy_j(max_charge)
+        order_id = next(self._order_ids)
         try:
             definition = VirtualDroneDefinition(
-                name=f"{user}-order{next(self._order_ids)}",
+                name=f"{user}-order{order_id}",
                 waypoints=specs,
                 max_duration_s=max_duration_s,
                 energy_allotted_j=energy_j,
@@ -247,7 +246,7 @@ class WebPortal:
         except DefinitionError as bad:
             raise PortalError(str(bad)) from bad
         order = Order(
-            order_id=int(definition.name.rsplit("order", 1)[1]),
+            order_id=order_id,
             user=user,
             drone_type=drone_type,
             definition=definition,

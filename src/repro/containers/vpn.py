@@ -54,8 +54,8 @@ class VpnTunnel:
         self._key = hashlib.sha256(
             f"vpn:{self.tunnel_id}:{container_name}".encode()
         ).hexdigest()
-        self._to_remote = network.connect(local_address, remote_address, link, secure=True)
-        self._to_local = network.connect(remote_address, local_address, link, secure=True)
+        self._to_remote = network.connect(local_address, remote_address, link)
+        self._to_local = network.connect(remote_address, local_address, link)
         self.rejected = 0
 
     def _seal(self, payload: Any) -> VpnEnvelope:

@@ -211,18 +211,17 @@ class DroneNode:
             "flight", "alpine-flight", FLIGHT_CONTAINER_KB)
         self.flight_container.start()
 
-        # SITL/flight controller construction is deferred until the device
-        # bus exists, since the bus samples physics state.
+        # The HAL bridge looks its services up on the first read, so it
+        # can exist before the device bus (which samples the SITL's
+        # physics) and the services on it.
+        hal = (HalSensors(self.driver, self.device_env)
+               if use_hal_sensors else None)
         self.sitl = SitlDrone(
             self.sim, self.rng.fork("sitl"),
-            home=home, rate_hz=sitl_rate_hz, log=flight_log,
-            sensors_factory=(self._hal_factory if use_hal_sensors else None),
+            home=home, rate_hz=sitl_rate_hz, log=flight_log, sensors=hal,
         )
         self.bus = self.profile.build_device_bus(self.sitl.physics.snapshot, self.rng)
         self.device_env.system_server.start(self.bus)
-        if use_hal_sensors:
-            # Now that services exist, bind the autopilot's HAL frontend.
-            self.sitl.autopilot.sensors = HalSensors(self.driver, self.device_env)
 
         self.proxy = MavProxy(self.sim, self.sitl)
         self.vdc = VirtualDroneController(
@@ -238,12 +237,6 @@ class DroneNode:
         self._rt_flight_thread = None
         if run_flight_rt_thread:
             self._start_flight_rt_thread()
-
-    def _hal_factory(self, physics):
-        """Placeholder sensors until the device container is up."""
-        from repro.flight.autopilot import DirectSensors
-
-        return DirectSensors(physics, self.rng.stream("bootstrap-sensors"))
 
     def _start_flight_rt_thread(self) -> None:
         """Model ArduPilot's fast loop as a real SCHED_FIFO kernel thread,

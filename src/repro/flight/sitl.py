@@ -33,11 +33,11 @@ class SitlDrone:
         jitter_provider: Optional[Callable[[], float]] = None,
         params: Optional[QuadcopterParams] = None,
         log: Optional[FlightLog] = None,
-        sensors_factory=None,
+        sensors=None,
     ):
-        """``sensors_factory``, if given, is called with the physics object
-        and must return a sensors frontend (e.g. the flight container's
-        HAL bridge); the default owns its devices directly."""
+        """``sensors``, if given, is the autopilot's sensors frontend
+        (e.g. the flight container's HAL bridge); the default owns its
+        devices directly."""
         self.sim = sim
         self.rate_hz = rate_hz
         self.period_us = 1e6 / rate_hz
@@ -48,9 +48,7 @@ class SitlDrone:
             home=home or GeoPoint(43.6084298, -85.8110359, 0.0),
             rng=rng.stream("physics.gusts"),
         )
-        if sensors_factory is not None:
-            sensors = sensors_factory(self.physics)
-        else:
+        if sensors is None:
             sensors = DirectSensors(self.physics, rng.stream("sensors"))
         self.log = log
         self.autopilot = Autopilot(

@@ -52,12 +52,11 @@ class Channel:
     """A unidirectional sender view between two endpoints over one link."""
 
     def __init__(self, network: "Network", source: Endpoint, dest: Endpoint,
-                 link: LinkModel, secure: bool = False):
+                 link: LinkModel):
         self.network = network
         self.source = source
         self.dest = dest
         self.link = link
-        self.secure = secure
         self.sent = 0
         self.delivered = 0
         self.lost = 0
@@ -105,18 +104,16 @@ class Network:
             raise NetworkError(f"no endpoint at {address!r}")
         return self._endpoints[address]
 
-    def connect(self, source: str, dest: str, link: Optional[LinkModel] = None,
-                secure: bool = False) -> Channel:
+    def connect(self, source: str, dest: str,
+                link: Optional[LinkModel] = None) -> Channel:
         """Create a sender channel from ``source`` to ``dest``."""
         return Channel(
             self,
             self.endpoint(source),
             self.endpoint(dest),
             link or loopback(),
-            secure=secure,
         )
 
-    def duplex(self, a: str, b: str, link: Optional[LinkModel] = None,
-               secure: bool = False):
+    def duplex(self, a: str, b: str, link: Optional[LinkModel] = None):
         """Convenience: a pair of channels (a->b, b->a) over one link."""
-        return self.connect(a, b, link, secure), self.connect(b, a, link, secure)
+        return self.connect(a, b, link), self.connect(b, a, link)

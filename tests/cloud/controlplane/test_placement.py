@@ -102,10 +102,6 @@ class TestBinPacking:
         assert "vd2" in str(excinfo.value)
         assert isinstance(excinfo.value, ValueError)
 
-    def test_negative_weight_is_typed(self):
-        with pytest.raises(ControlPlaneConfigError):
-            BinPackingPlacer(energy_weight=-1.0)
-
 
 class TestFirstFit:
     def test_takes_first_feasible_in_id_order(self):
