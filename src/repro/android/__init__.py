@@ -14,21 +14,13 @@ init and SystemServer, Section 4.2); the device container runs them with
 exclusive device access and publishes them everywhere.
 """
 
-from repro.android.permissions import Permission
-from repro.android.manifest import AndroidManifest, AnDroneManifest, ManifestError
-from repro.android.activity_manager import ActivityManager
-from repro.android.system_server import SystemServer
-from repro.android.environment import AndroidEnvironment
-from repro.android.app import App, AppState
+from repro import lazy_exports
 
-__all__ = [
-    "Permission",
-    "AndroidManifest",
-    "AnDroneManifest",
-    "ManifestError",
-    "ActivityManager",
-    "SystemServer",
-    "AndroidEnvironment",
-    "App",
-    "AppState",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "permissions": ("Permission",),
+    "manifest": ("AndroidManifest", "AnDroneManifest", "ManifestError"),
+    "activity_manager": ("ActivityManager",),
+    "system_server": ("SystemServer",),
+    "environment": ("AndroidEnvironment",),
+    "app": ("App", "AppState"),
+})

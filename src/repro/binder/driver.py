@@ -259,7 +259,6 @@ class BinderDriver:
     def __init__(self, device_container_name: str = "device"):
         self._node_ids = itertools.count(1)
         self._context_managers: Dict[int, BinderNode] = {}
-        self._processes: list = []
         #: pid and uid allocation for the Android userspaces on this
         #: driver.  Ids appear in telemetry, so they are per driver:
         #: two identical runs in one process number them the same.
@@ -288,9 +287,7 @@ class BinderDriver:
         self._async_flush_event = None
 
     def open(self, pid: int, euid: int, container: str, device_ns: Namespace) -> BinderProcess:
-        proc = BinderProcess(self, pid, euid, container, device_ns)
-        self._processes.append(proc)
-        return proc
+        return BinderProcess(self, pid, euid, container, device_ns)
 
     # -- batched async delivery ---------------------------------------------------
     def bind_sim(self, sim) -> None:

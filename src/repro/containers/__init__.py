@@ -14,17 +14,10 @@ parts AnDrone depends on:
 * per-container VPN tunnels for remote access (Section 4).
 """
 
-from repro.containers.image import Layer, Image, ImageStore, WHITEOUT
-from repro.containers.container import Container, ContainerState, ContainerError
-from repro.containers.runtime import ContainerRuntime
+from repro import lazy_exports
 
-__all__ = [
-    "Layer",
-    "Image",
-    "ImageStore",
-    "WHITEOUT",
-    "Container",
-    "ContainerState",
-    "ContainerError",
-    "ContainerRuntime",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "image": ("Layer", "Image", "ImageStore", "WHITEOUT"),
+    "container": ("Container", "ContainerState", "ContainerError"),
+    "runtime": ("ContainerRuntime",),
+})

@@ -27,7 +27,7 @@ from repro.flight.logs import FlightLog
 from repro.flight.sitl import SitlDrone
 from repro.kernel import Kernel, SchedPolicy, ops
 from repro.kernel.config import PreemptionMode
-from repro.mavproxy import MavProxy
+from repro.mavproxy.proxy import MavProxy
 from repro.sim import RngRegistry, Simulator
 from repro.vdc.controller import VirtualDroneController
 

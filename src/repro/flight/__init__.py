@@ -19,32 +19,15 @@ quadcopter physics model:
   Section 6.6.
 """
 
-from repro.flight.geo import GeoPoint, enu_between, offset_geopoint
-from repro.flight.physics import QuadcopterPhysics, QuadcopterParams
-from repro.flight.estimator import AttitudeEstimator
-from repro.flight.geofence import Geofence, GeofenceBreach
-from repro.flight.autopilot import Autopilot
-from repro.flight.logs import (
-    FlightLog,
-    analyze_attitude_divergence,
-    analyze_gps_glitches,
-    analyze_vibration,
-)
-from repro.flight.sitl import SitlDrone
+from repro import lazy_exports
 
-__all__ = [
-    "GeoPoint",
-    "enu_between",
-    "offset_geopoint",
-    "QuadcopterPhysics",
-    "QuadcopterParams",
-    "AttitudeEstimator",
-    "Geofence",
-    "GeofenceBreach",
-    "Autopilot",
-    "FlightLog",
-    "analyze_attitude_divergence",
-    "analyze_gps_glitches",
-    "analyze_vibration",
-    "SitlDrone",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "geo": ("GeoPoint", "enu_between", "offset_geopoint"),
+    "physics": ("QuadcopterPhysics", "QuadcopterParams"),
+    "estimator": ("AttitudeEstimator",),
+    "geofence": ("Geofence", "GeofenceBreach"),
+    "autopilot": ("Autopilot",),
+    "logs": ("FlightLog", "analyze_attitude_divergence",
+             "analyze_gps_glitches", "analyze_vibration"),
+    "sitl": ("SitlDrone",),
+})

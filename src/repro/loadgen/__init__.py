@@ -13,37 +13,12 @@ asserts invariants, and records per-tenant latency/throughput through
 See docs/SCALING.md for the scenario schema and the measured curves.
 """
 
-from repro.loadgen.city import (
-    CityHarness,
-    CityInvariantMonitor,
-    CityResult,
-    CityScenario,
-    make_city_specs,
-    run_city,
-)
-from repro.loadgen.harness import (
-    FleetHarness,
-    FleetResult,
-    TenantStats,
-    run_scenario,
-)
-from repro.loadgen.invariants import InvariantMonitor, Violation
-from repro.loadgen.scenario import FleetScenario, ScenarioError, WORKLOADS
+from repro import lazy_exports
 
-__all__ = [
-    "CityHarness",
-    "CityInvariantMonitor",
-    "CityResult",
-    "CityScenario",
-    "FleetHarness",
-    "FleetResult",
-    "FleetScenario",
-    "InvariantMonitor",
-    "ScenarioError",
-    "TenantStats",
-    "Violation",
-    "WORKLOADS",
-    "make_city_specs",
-    "run_city",
-    "run_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "city": ("CityHarness", "CityInvariantMonitor", "CityResult",
+             "CityScenario", "make_city_specs", "run_city"),
+    "harness": ("FleetHarness", "FleetResult", "TenantStats", "run_scenario"),
+    "invariants": ("InvariantMonitor", "Violation"),
+    "scenario": ("FleetScenario", "ScenarioError", "WORKLOADS"),
+})

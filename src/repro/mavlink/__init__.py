@@ -7,40 +7,14 @@ CRC_EXTRA), the message set AnDrone's evaluation exercises, and a
 connection abstraction that rides the simulated network.
 """
 
-from repro.mavlink.enums import CopterMode, MavCommand, MavResult, MavState
-from repro.mavlink.messages import (
-    Attitude,
-    CommandAck,
-    CommandLong,
-    GlobalPositionInt,
-    Heartbeat,
-    ManualControl,
-    MissionItem,
-    SetPositionTarget,
-    Statustext,
-    SysStatus,
-    MESSAGE_REGISTRY,
-)
-from repro.mavlink.codec import MavlinkCodec, CodecError
-from repro.mavlink.connection import MavlinkConnection
+from repro import lazy_exports
 
-__all__ = [
-    "CopterMode",
-    "MavCommand",
-    "MavResult",
-    "MavState",
-    "Attitude",
-    "CommandAck",
-    "CommandLong",
-    "GlobalPositionInt",
-    "Heartbeat",
-    "ManualControl",
-    "MissionItem",
-    "SetPositionTarget",
-    "Statustext",
-    "SysStatus",
-    "MESSAGE_REGISTRY",
-    "MavlinkCodec",
-    "CodecError",
-    "MavlinkConnection",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "enums": ("CopterMode", "MavCommand", "MavResult", "MavState"),
+    "messages": ("Attitude", "CommandAck", "CommandLong", "GlobalPositionInt",
+                 "Heartbeat", "ManualControl", "MissionItem",
+                 "SetPositionTarget", "Statustext", "SysStatus",
+                 "MESSAGE_REGISTRY"),
+    "codec": ("MavlinkCodec", "CodecError"),
+    "connection": ("MavlinkConnection",),
+})

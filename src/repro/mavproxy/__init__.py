@@ -14,17 +14,11 @@ mechanism to virtualize the flight controller" (Section 4.3).
   control while active, and the non-failsafe breach recovery sequence.
 """
 
-from repro.mavproxy.whitelist import RestrictionTemplate, TEMPLATES
-from repro.mavproxy.vfc import VfcState, VirtualFlightController
-from repro.mavproxy.proxy import MavProxy
-from repro.mavproxy.server import GroundStation, VfcServer
+from repro import lazy_exports
 
-__all__ = [
-    "RestrictionTemplate",
-    "TEMPLATES",
-    "VfcState",
-    "VirtualFlightController",
-    "MavProxy",
-    "GroundStation",
-    "VfcServer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "whitelist": ("RestrictionTemplate", "TEMPLATES"),
+    "vfc": ("VfcState", "VirtualFlightController"),
+    "proxy": ("MavProxy",),
+    "server": ("GroundStation", "VfcServer"),
+})

@@ -185,7 +185,7 @@ class StormSmokeScenario(ExplorationScenario):
         self.seed = seed
 
     def _execute(self, tie_breaker) -> RunOutcome:
-        from repro.loadgen import FleetScenario
+        from repro.loadgen.scenario import FleetScenario
         from repro.loadgen.harness import FleetHarness
         from repro.loadgen.invariants import TIME_SLACK_S
         from repro.mavproxy.vfc import VfcState

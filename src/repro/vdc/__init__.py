@@ -7,20 +7,10 @@ it creates containers from JSON definitions, manages device access (and
 time allotments, and saves virtual drones to the VDR for resumption.
 """
 
-from repro.vdc.definition import (
-    VirtualDroneDefinition,
-    WaypointSpec,
-    DefinitionError,
-)
-from repro.vdc.device_access import DeviceAccessPolicy, TenantPhase
-from repro.vdc.controller import VirtualDroneController, VirtualDrone
+from repro import lazy_exports
 
-__all__ = [
-    "VirtualDroneDefinition",
-    "WaypointSpec",
-    "DefinitionError",
-    "DeviceAccessPolicy",
-    "TenantPhase",
-    "VirtualDroneController",
-    "VirtualDrone",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "definition": ("VirtualDroneDefinition", "WaypointSpec", "DefinitionError"),
+    "device_access": ("DeviceAccessPolicy", "TenantPhase"),
+    "controller": ("VirtualDroneController", "VirtualDrone"),
+})

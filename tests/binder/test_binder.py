@@ -1,5 +1,8 @@
 """Tests for Binder IPC, device namespaces, and AnDrone's two new ioctls."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.binder import (
@@ -99,6 +102,23 @@ class TestHandles:
         # The service got an integer handle valid in *its* table.
         assert isinstance(received["handle"], int)
         assert proc.transact(received["handle"], "invoke") == "cb-reply"
+
+
+class TestProcessLifetime:
+    def test_closed_process_is_collected(self, driver):
+        # Nothing in the driver holds a process: once it has closed and
+        # its caller drops it, it is freed with its handle table.
+        _, proc, manager = make_container(driver, "vd1", 100)
+        manager.register("Svc", proc.create_node(lambda t: "ok", "svc"))
+        client = driver.open(101, 1000, "vd1", proc.device_ns)
+        client.create_node(lambda t: "ok", "callback")
+        handle = client.transact(0, "get", {"name": "Svc"})["service"]
+        assert client.transact(handle, "call") == "ok"
+        client.close()
+        ref = weakref.ref(client)
+        del client
+        gc.collect()
+        assert ref() is None
 
 
 class TestDeviceNamespaces:

@@ -1,6 +1,7 @@
 """Call-graph construction unit tests on synthetic module trees, plus
 the summary cache's hit/invalidation behavior."""
 
+from repro.lint.config import default_config
 from repro.lint.core import build_corpus
 from repro.lint.flow.cache import load_summaries
 from repro.lint.flow.graph import project_graph
@@ -245,3 +246,14 @@ class TestSummaryCache:
         summaries, hits = load_summaries(corpus, config)
         assert hits == 0
         assert "f" in summaries["src/repro/a.py"]["functions"]
+
+
+class TestRealTree:
+    def test_drone_node_constructs_mavproxy(self, tmp_path):
+        # Names a package exports lazily are not chased, so src/ imports
+        # name the defining module and the edge stays resolved.
+        config = default_config()
+        config.flow_cache_rel = str(tmp_path / "flow-cache.json")
+        graph = _graph(config)
+        assert (_fid("mavproxy/proxy.py::MavProxy.__init__")
+                in graph.calls[_fid("core/drone_node.py::DroneNode.__init__")])
