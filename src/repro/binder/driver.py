@@ -167,14 +167,8 @@ class BinderProcess:
                     delivered[key] = node.owner._install_ref(value.node)
         else:
             delivered = {}
-        txn = Transaction(
-            code=code,
-            data=delivered,
-            calling_pid=self.pid,
-            calling_euid=self.euid,
-            calling_container=self.container,
-        )
-        reply = node.handler(txn)
+        reply = node.handler(Transaction(
+            code, delivered, self.pid, self.euid, self.container))
         if isinstance(reply, dict):
             # Translate any refs in the reply into *our* handle table, the
             # way Binder flattens objects in reply parcels.  Ref-free

@@ -9,13 +9,13 @@ demand.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import repro.obs as obs
 from repro.android.environment import AndroidEnvironment
 from repro.binder import BinderDriver
 from repro.binder.driver import TransientBinderError
-from repro.faults.policies import RetriesExhausted, RetryPolicy, retry_call
+from repro.faults.policies import RetriesExhausted, RetryPolicy, record_failure
 from repro.containers.image import Image, Layer
 from repro.containers.runtime import ContainerRuntime
 from repro.core.hardware import HardwareProfile
@@ -54,8 +54,6 @@ class HalSensors:
     #: to the last good sample rather than crashing the estimator.
     RETRY = RetryPolicy(max_attempts=3, base_us=2_000, cap_us=50_000)
 
-    SENSORS = ("imu", "barometer", "magnetometer", "gps")
-
     def __init__(self, driver: BinderDriver, device_env: AndroidEnvironment):
         # The bridge opens Binder inside the device container's namespace.
         self._proc = driver.open(2, euid=0, container="flight",
@@ -63,9 +61,15 @@ class HalSensors:
         self._handles: Dict[str, int] = {}
         #: last good reply per sensor, the hold-last-sample fallback.
         self._last: Dict[str, dict] = {}
-        #: sensor -> (attempt callable, retry label).
-        self._readers: Dict[str, Tuple[Callable[[], dict], str]] = {
-            sensor: self._reader(sensor) for sensor in self.SENSORS}
+        #: sensor -> (service, code, request payload, retry label).  The
+        #: driver copies the payload on delivery, so every read of a
+        #: sensor sends the same dict.
+        self._requests: Dict[str, Tuple[str, str, dict, str]] = {
+            sensor: ("SensorService", "read", {"sensor": sensor},
+                     f"hal.{sensor}")
+            for sensor in ("imu", "barometer", "magnetometer")}
+        self._requests["gps"] = ("LocationManagerService",
+                                 "native_get_location", {}, "hal.gps")
         self.calls = 0
         self.held_samples = 0
 
@@ -82,57 +86,51 @@ class HalSensors:
 
     _RETRY_ON = (_TransientReply, TransientBinderError)
 
-    def _reader(self, sensor: str) -> Tuple[Callable[[], dict], str]:
-        """One sensor's retryable attempt and retry label.
-
-        Each attempt is one binder transaction with the same request
-        payload (the driver copies it on delivery).  The service handle
-        is looked up inside the attempt, so a failed first lookup is
-        retried like a failed read.
-        """
-        if sensor == "gps":
-            service, code, request = (
-                "LocationManagerService", "native_get_location", {})
-        else:
-            service, code, request = "SensorService", "read", {"sensor": sensor}
-        proc = self._proc
-        handles = self._handles
-
-        def attempt() -> dict:
-            handle = handles.get(service)
-            if handle is None:
-                handle = self._service(service)
-            reply = proc.transact(handle, code, request)
-            if reply.get("status") == "ok":
-                return reply
-            if reply.get("transient"):
-                raise HalSensors._TransientReply(str(reply))
-            raise RuntimeError(f"HAL bridge: {sensor} read failed: {reply}")
-
-        return attempt, f"hal.{sensor}"
-
     def _read(self, sensor: str) -> dict:
-        """One sensor transaction with retry + hold-last degradation."""
+        """One sensor read: retry under :attr:`RETRY`, then hold the last
+        good sample.
+
+        Each attempt is one binder transaction.  The service handle is
+        looked up inside the attempt, so a failed first lookup is retried
+        like a failed read.  The attempt loop is written out here rather
+        than run through ``retry_call`` because it is the flight loop's
+        hottest call chain; ``record_failure`` keeps the failure rule and
+        its counters shared with ``retry_call``.
+        """
         self.calls += 1
-        attempt, label = self._readers[sensor]
-        try:
-            reply = retry_call(attempt, self.RETRY, retry_on=self._RETRY_ON,
-                               label=label)
-        except RetriesExhausted:
-            held = self._last.get(sensor)
-            if held is None:
+        service, code, request, label = self._requests[sensor]
+        attempt = 1
+        while True:
+            try:
+                handle = self._handles.get(service)
+                if handle is None:
+                    handle = self._service(service)
+                reply = self._proc.transact(handle, code, request)
+                if reply.get("status") == "ok":
+                    self._last[sensor] = reply
+                    return reply
+                if reply.get("transient"):
+                    raise HalSensors._TransientReply(str(reply))
                 raise RuntimeError(
-                    f"HAL bridge: {sensor} unavailable and no sample held")
-            self.held_samples += 1
-            obs.counter("fault.sensor_holds", sensor=sensor).inc()
-            return held
-        self._last[sensor] = reply
-        return reply
+                    f"HAL bridge: {sensor} read failed: {reply}")
+            except self._RETRY_ON as exc:
+                try:
+                    record_failure(self.RETRY, attempt, exc, label=label)
+                except RetriesExhausted:
+                    held = self._last.get(sensor)
+                    if held is None:
+                        raise RuntimeError(
+                            f"HAL bridge: {sensor} unavailable and no "
+                            f"sample held")
+                    self.held_samples += 1
+                    obs.counter("fault.sensor_holds", sensor=sensor).inc()
+                    return held
+            attempt += 1
 
     def read_imu(self) -> ImuReading:
+        # The reply carries the device's own accel/gyro tuples.
         data = self._read("imu")["reading"]
-        return ImuReading(data["time_us"], tuple(data["accel"]),
-                          tuple(data["gyro"]))
+        return ImuReading(data["time_us"], data["accel"], data["gyro"])
 
     def read_baro_alt(self) -> float:
         return self._read("barometer")["altitude_m"]

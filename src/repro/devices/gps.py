@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from repro.devices.bus import Device, DeviceHandle
+from repro.sim.rng import normals
 
 #: Meters of latitude per degree (spherical approximation).
 M_PER_DEG_LAT = 111_320.0
@@ -65,14 +66,12 @@ class GpsReceiver(Device):
         if rng is not None:
             # Draw order (north, east, velocity east, velocity north,
             # altitude) is part of the RNG stream contract — keep it.
-            gauss = rng.gauss
             noise_m = self.noise_m
             vel_noise = self.velocity_noise_ms
-            noise_n = gauss(0.0, noise_m)
-            noise_e = gauss(0.0, noise_m)
-            vel_e = vx + gauss(0.0, vel_noise)
-            vel_n = vy + gauss(0.0, vel_noise)
-            alt_noise = gauss(0, 2.0)
+            noise_n, noise_e, vel_noise_e, vel_noise_n, alt_noise = normals(
+                rng, (noise_m, noise_m, vel_noise, vel_noise, 2.0))
+            vel_e = vx + vel_noise_e
+            vel_n = vy + vel_noise_n
         else:
             noise_n = noise_e = alt_noise = 0.0
             vel_e, vel_n = vx, vy

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.devices.bus import Device, DeviceHandle
+from repro.sim.rng import normals
 
 GRAVITY = 9.80665
 
@@ -66,15 +67,13 @@ class Imu(Device):
         if rng is not None:
             # Draw order (3 accel then 3 gyro) is part of the RNG stream
             # contract — keep it stable.
-            gauss = rng.gauss
             an, gn = self.accel_noise, self.gyro_noise
-            accel = (ax + gx + bax + gauss(0.0, an),
-                     ay + gy + bay + gauss(0.0, an),
-                     az + gz + baz + gauss(0.0, an))
-            gyro = (p + bgp + gauss(0.0, gn),
-                    q + bgq + gauss(0.0, gn),
-                    r + bgr + gauss(0.0, gn))
+            nax, nay, naz, ngp, ngq, ngr = normals(rng, (an, an, an,
+                                                         gn, gn, gn))
+            accel = (ax + gx + bax + nax, ay + gy + bay + nay,
+                     az + gz + baz + naz)
+            gyro = (p + bgp + ngp, q + bgq + ngq, r + bgr + ngr)
         else:
             accel = (ax + gx + bax, ay + gy + bay, az + gz + baz)
             gyro = (p + bgp, q + bgq, r + bgr)
-        return ImuReading(time_us=state.time_us, accel=accel, gyro=gyro)
+        return ImuReading(state.time_us, accel, gyro)

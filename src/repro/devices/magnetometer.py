@@ -6,6 +6,10 @@ import math
 
 from repro.devices.bus import Device, DeviceHandle
 
+#: Heading noise: one degree, in radians.
+HEADING_SIGMA = math.radians(1.0)
+TWO_PI = 2.0 * math.pi
+
 
 class Magnetometer(Device):
     """Single-client compass with ~1 degree of heading noise."""
@@ -18,7 +22,9 @@ class Magnetometer(Device):
 
     def read_heading(self, handle: DeviceHandle) -> float:
         """Magnetic heading in radians, [0, 2*pi)."""
-        self._check(handle)
-        state = self._state()
-        noise = self._rng.gauss(0.0, math.radians(1.0)) if self._rng else 0.0
-        return (state.yaw + self.declination_rad + noise) % (2.0 * math.pi)
+        # _check()/_state() inlined: 10 Hz flight-loop hot path.
+        if handle.closed or self._holder is not handle:
+            raise PermissionError(f"stale handle for device {self.name!r}")
+        state = self._state_provider()
+        noise = self._rng.gauss(0.0, HEADING_SIGMA) if self._rng else 0.0
+        return (state.yaw + self.declination_rad + noise) % TWO_PI

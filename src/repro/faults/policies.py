@@ -1,7 +1,9 @@
 """Resilience policies: retry with exponential backoff.
 
 :class:`RetryPolicy` is the schedule math (base, multiplier, cap, optional
-jitter); :func:`retry_call` applies it to a synchronous callable.
+jitter); :func:`retry_call` applies it to a synchronous callable, and
+:func:`record_failure` is its per-failure step for callers that run the
+attempt loop themselves.
 
 Backoff delays are *accounted, not slept*: binder and device-service calls
 are synchronous within a single simulator event, so a retrying caller
@@ -91,11 +93,25 @@ def retry_call(
         try:
             return fn()
         except retry_on as exc:
-            if attempt >= policy.max_attempts:
-                obs.counter("fault.retries_exhausted", call=label or "call").inc()
-                raise RetriesExhausted(label, attempt, exc) from exc
-            backoff = policy.backoff_us(attempt, rng)
-            obs.counter("fault.retries", call=label or "call").inc()
-            obs.histogram("fault.retry_backoff_us", unit="us",
-                          call=label or "call").observe(backoff)
+            record_failure(policy, attempt, exc, rng=rng, label=label)
             attempt += 1
+
+
+def record_failure(policy: RetryPolicy, attempt: int, exc: BaseException,
+                   *, rng=None, label: str = "") -> None:
+    """Account the failure of attempt number ``attempt`` (1-based).
+
+    Raises :class:`RetriesExhausted` (chaining ``exc``) when it was the
+    last attempt ``policy`` allows; otherwise counts the retry and its
+    backoff delay, and the caller makes the next attempt.  The one
+    failure rule of :func:`retry_call` and of callers that run their
+    own attempt loop on a hot path (the HAL sensor bridge).
+    """
+    call = label or "call"
+    if attempt >= policy.max_attempts:
+        obs.counter("fault.retries_exhausted", call=call).inc()
+        raise RetriesExhausted(label, attempt, exc) from exc
+    backoff = policy.backoff_us(attempt, rng)
+    obs.counter("fault.retries", call=call).inc()
+    obs.histogram("fault.retry_backoff_us", unit="us",
+                  call=call).observe(backoff)

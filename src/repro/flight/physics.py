@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.devices.state import DroneStateSnapshot
-from repro.flight.geo import GeoPoint, offset_geopoint
+from repro.flight.geo import M_PER_DEG_LAT, GeoPoint, offset_geopoint
+from repro.sim.rng import normals
 
 GRAVITY = 9.80665
 
@@ -28,6 +29,9 @@ TWO_PI = 2 * math.pi
 #: sqrt(2 rho A) of the induced-power model: air density 1.225 kg/m^3
 #: over one 9.5" prop disk.
 INDUCED_POWER_DENOM = math.sqrt(2 * 1.225 * (math.pi * (0.120) ** 2))
+#: Per-axis sigma (m/s^2) of the turbulence gust added to each step's
+#: east/north/up acceleration.
+GUST_SIGMAS = (0.05, 0.05, 0.05)
 
 
 @dataclass
@@ -55,7 +59,11 @@ class QuadcopterPhysics:
                  home: Optional[GeoPoint] = None, rng=None,
                  wind_enu: Tuple[float, float, float] = (0.0, 0.0, 0.0)):
         self.params = params or QuadcopterParams()
+        #: fixed for the vehicle's life: snapshot() keeps its longitude
+        #: scale (meters per degree) from here.
         self.home = home or GeoPoint(43.6084298, -85.8110359, 0.0)
+        self._home_lon_scale = M_PER_DEG_LAT * math.cos(
+            math.radians(self.home.latitude))
         self._rng = rng
         self.wind_enu = wind_enu
         # State: ENU position/velocity, Euler attitude, body rates.
@@ -91,20 +99,24 @@ class QuadcopterPhysics:
         """The ground truth that sensors sample."""
         if self._snapshot_version == self._state_version:
             return self._snapshot_cache
-        geo = self.geoposition()
+        # offset_geopoint()'s arithmetic, with the home's longitude
+        # scale computed once.
+        home = self.home
+        position = self.position
+        east, north, up = position
         snap = DroneStateSnapshot(
-            time_us=self.time_us,
-            latitude=geo.latitude,
-            longitude=geo.longitude,
-            altitude_m=self.position[2],
-            position_enu=tuple(self.position),
-            velocity_enu=tuple(self.velocity),
-            accel_body=self._last_accel_body,
-            roll=self.roll,
-            pitch=self.pitch,
-            yaw=self.yaw,
-            angular_rates=tuple(self.rates),
-            on_ground=self.on_ground,
+            self.time_us,
+            home.latitude + north / M_PER_DEG_LAT,
+            home.longitude + east / self._home_lon_scale,
+            up,
+            tuple(position),
+            tuple(self.velocity),
+            self._last_accel_body,
+            self.roll,
+            self.pitch,
+            self.yaw,
+            tuple(self.rates),
+            self.on_ground,
         )
         self._snapshot_cache = snap
         self._snapshot_version = self._state_version
@@ -199,12 +211,11 @@ class QuadcopterPhysics:
         force_n = forward_force * cy - right_force * sy
         force_u = up_force - mass * GRAVITY
 
-        gust_e = gust_n = gust_u = 0.0
         rng = self._rng
         if rng is not None:
-            gust_e = rng.gauss(0.0, 0.05)
-            gust_n = rng.gauss(0.0, 0.05)
-            gust_u = rng.gauss(0.0, 0.05)
+            gust_e, gust_n, gust_u = normals(rng, GUST_SIGMAS)
+        else:
+            gust_e = gust_n = gust_u = 0.0
         velocity = self.velocity
         wind_e, wind_n, wind_u = self.wind_enu
         drag = p.linear_drag

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from typing import IO, List, Union
 
-from repro.analysis.reporting import render_metrics_report
 from repro.obs.registry import TelemetryRegistry
 
 TRACE_KINDS = ("event", "span_begin", "span_end")
@@ -105,7 +104,14 @@ def validate_records(records: List[dict]) -> None:
 
 
 def render_report(registry: TelemetryRegistry) -> str:
-    """The human-readable summary (tables via repro.analysis.reporting)."""
+    """The human-readable summary (tables via repro.analysis.reporting).
+
+    Imported here, not at module level: every run imports this module
+    through ``repro.obs``, and only a run that renders a report needs the
+    analysis package.
+    """
+    from repro.analysis.reporting import render_metrics_report
+
     return render_metrics_report(registry.snapshot(),
                                  registry.tracer.closed_spans,
                                  n_trace_records=len(registry.tracer.records))

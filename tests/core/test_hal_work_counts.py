@@ -14,6 +14,10 @@ import pytest
 
 from repro.binder.driver import BinderProcess
 from repro.core.drone_node import DroneNode
+from repro.devices.barometer import Barometer
+from repro.devices.gps import GpsReceiver
+from repro.devices.imu import Imu
+from repro.devices.magnetometer import Magnetometer
 from repro.security.fabric import SecurityFabric
 from repro.security.guards import RateGuard
 from tests.util import HOME
@@ -93,3 +97,56 @@ class TestHalPerTickWork:
     def test_every_transaction_passes_the_binder_guard(self, recorded):
         _, reads, lookups, admits = recorded
         assert admits["flight"] == len(reads) + len(lookups)
+
+
+#: device method -> calls per HAL read of its sensor.  A HAL barometer
+#: read samples the pressure twice: once for the reply's ``pressure_pa``
+#: and once inside ``read_altitude`` for its ``altitude_m``.
+DEVICE_CALLS = {
+    ("imu", Imu, "read"): 1,
+    ("barometer", Barometer, "read_pressure"): 2,
+    ("barometer", Barometer, "read_altitude"): 1,
+    ("magnetometer", Magnetometer, "read_heading"): 1,
+    ("gps", GpsReceiver, "read_fix"): 1,
+}
+
+
+@pytest.fixture
+def device_calls(monkeypatch):
+    """Per-tick device method calls of a HAL-wired node over TICKS steps.
+
+    Returns a ``{tick: Counter((class, method))}`` map.  The wrappers go
+    on the classes, as perfbench's layer hooks do, so a reader that
+    bypasses a device method (or samples it once too often) shows here.
+    """
+    node = DroneNode(seed=3, home=HOME, sitl_rate_hz=RATE_HZ)
+    autopilot = node.sitl.autopilot
+    per_tick = {tick: Counter() for tick in range(1, TICKS + 1)}
+
+    def wrap(cls, method_name):
+        original = getattr(cls, method_name)
+
+        def counted(self, *args, **kwargs):
+            per_tick[autopilot.fast_loop_count][cls.__name__, method_name] += 1
+            return original(self, *args, **kwargs)
+        return counted
+
+    for _, cls, method_name in DEVICE_CALLS:
+        monkeypatch.setattr(cls, method_name, wrap(cls, method_name))
+    node.boot()
+    node.sim.run(until=(TICKS - 1) * 1_000_000 // RATE_HZ)
+    assert autopilot.fast_loop_count == TICKS
+    return per_tick
+
+
+class TestHalDeviceWork:
+    def test_each_read_samples_its_device_once_per_value(self, device_calls):
+        for tick, counts in device_calls.items():
+            due = {sensor for sensor, every in EVERY.items()
+                   if (tick - 1) % every == 0}
+            for (sensor, cls, method_name), calls in DEVICE_CALLS.items():
+                key = cls.__name__, method_name
+                expected = calls if sensor in due else 0
+                assert counts[key] == expected, (
+                    f"tick {tick}: {cls.__name__}.{method_name} called "
+                    f"{counts[key]} times, expected {expected}")

@@ -2,7 +2,8 @@
 
 The onboard packages export their names lazily (``repro.lazy_exports``),
 so building a city loads the control plane and the leaf modules it
-names, not the VDC, SITL, binder, kernel, device and MAVLink stacks.
+names, not the VDC, SITL, binder, kernel, device and MAVLink stacks, nor
+the report renderer of ``repro.analysis``.
 """
 
 import ast
@@ -38,8 +39,8 @@ ONBOARD_ONLY = (
     "repro.mavproxy.proxy",
 )
 
-#: The city build loads 53 ``repro`` modules; the whole stack is 132.
-MAX_CITY_MODULES = 55
+#: The city build loads 50 ``repro`` modules; the whole stack is 132.
+MAX_CITY_MODULES = 52
 
 _CITY_BUILD = """\
 import json, sys
@@ -75,6 +76,12 @@ class TestCityImportBoundary:
         leaked = [m for m in loaded for prefix in ONBOARD_ONLY
                   if m == prefix or m.startswith(prefix + ".")]
         assert leaked == []
+
+    def test_report_renderer_not_loaded(self, loaded):
+        # repro.obs imports its exporter eagerly; the exporter reaches
+        # repro.analysis only when a run renders its report.
+        assert [m for m in loaded if m == "repro.analysis"
+                or m.startswith("repro.analysis.")] == []
 
     def test_module_count_bounded(self, loaded):
         assert len(loaded) <= MAX_CITY_MODULES, loaded
