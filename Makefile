@@ -111,5 +111,5 @@ clean:
 		profiles trace.jsonl chaos-trace.jsonl soak-trace.jsonl \
 		city-trace.jsonl \
 		repro-lint.json repro-lint-flow.json repro-lint-flow.sarif \
-		.lint-flow-cache.json explore-artifacts
+		explore-artifacts
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

@@ -24,7 +24,6 @@ from repro.android.permissions import Permission
 from repro.binder.driver import TransientBinderError
 from repro.binder.objects import Transaction
 from repro.faults.policies import RetriesExhausted, RetryPolicy, retry_call
-from repro.obs.metrics import NULL_HISTOGRAM
 
 
 #: Backoff for the cross-container permission lookup (a binder round trip
@@ -55,9 +54,6 @@ class SystemService:
         #: ``transient`` error reply (see repro.faults).  None in
         #: production.
         self.fault_hook: Optional[Callable[[Transaction], Optional[str]]] = None
-        #: per-code dispatch lanes: (op attribute name, served-call
-        #: counter, call-latency histogram), interned per registry.
-        self._lanes = obs.InstrumentCache()
 
     # -- lifecycle ------------------------------------------------------------
     def start(self, device_bus) -> None:
@@ -68,26 +64,11 @@ class SystemService:
 
     # -- dispatch ----------------------------------------------------------------
     def handle_txn(self, txn: Transaction):
-        # One memo lookup yields the op name plus both served-path
-        # instruments; miss only on first call per code or after a
-        # registry swap.
         code = txn.code
-        lane = self._lanes.get(code)
-        if lane is None:
-            if getattr(self, f"op_{code}", None) is None:
-                return {"error": f"{self.name}: unknown code {code!r}"}
-            lane = self._lanes.put(code, (
-                f"op_{code}",
-                obs.counter("android.service.calls", service=self.name,
-                            code=code, outcome="served"),
-                obs.histogram("android.service.call_us", unit="us-wall",
-                              service=self.name),
-            ))
-        op_name, served, histo = lane
-        # The attribute name is memoized, not the bound method —
-        # instance-level op overrides (fault tests, compromised-service
-        # scenarios) must keep taking effect.
-        method = getattr(self, op_name, None)
+        # Looked up on the instance on every call: instance-level op
+        # overrides (fault tests, compromised-service scenarios) must
+        # take effect.
+        method = getattr(self, f"op_{code}", None)
         if method is None:
             return {"error": f"{self.name}: unknown code {code!r}"}
         if self.fault_hook is not None:
@@ -145,11 +126,12 @@ class SystemService:
                         code=code, outcome="denied").inc()
             return {"error": denied_msg, "denied": True}
         self.served_calls += 1
-        served.inc()
-        # Telemetry off: ``histo`` is the shared null histogram, so
-        # there is no latency to time.
-        if histo is NULL_HISTOGRAM:
+        if not obs.on:
             return method(txn)
+        obs.counter("android.service.calls", service=self.name, code=code,
+                    outcome="served").inc()
+        histo = obs.histogram("android.service.call_us", unit="us-wall",
+                              service=self.name)
         # Call latency is wall-clock (the handler runs synchronously, so
         # no sim time passes); the one deliberately nondeterministic
         # metric — see docs/METRICS.md.

@@ -83,10 +83,6 @@ class BinderProcess:
         self._next_handle = itertools.count(1)  # 0 is the context manager
         self._nodes: list = []
         self.closed = False
-        #: memoized per-target transaction counters: this process's
-        #: ns/container labels are fixed, so the instrument only varies
-        #: with the target node (see obs.InstrumentCache).
-        self._txn_counters = obs.InstrumentCache()
 
     # -- node/handle management ------------------------------------------------
     def create_node(self, handler: Callable, label: str = "") -> NodeRef:
@@ -150,14 +146,11 @@ class BinderProcess:
                 raise failure
         if driver.rate_guard is not None:
             driver.rate_guard.admit(self.container or "host")
-        counter = self._txn_counters.get(node)
-        if counter is None:
-            counter = self._txn_counters.put(node, obs.counter(
-                "binder.transactions",
-                service=node.label or "anonymous",
-                ns=self.device_ns.label or str(self.device_ns.ns_id),
-                container=self.container or "host"))
-        counter.inc()
+        if obs.on:
+            obs.counter("binder.transactions",
+                        service=node.label or "anonymous",
+                        ns=self.device_ns.label or str(self.device_ns.ns_id),
+                        container=self.container or "host").inc()
         # Payload delivery: a C-level dict copy, then ref translation only
         # for the (rare) NodeRef values found while scanning the copy.
         if data:

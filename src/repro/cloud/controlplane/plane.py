@@ -345,7 +345,7 @@ class CityControlPlane:
         """Refresh fleet-level gauges from shard and fleet state.
 
         Gauges are all it sets, so with telemetry off it does nothing."""
-        if not obs.enabled():
+        if not obs.on:
             return
         active = sum(1 for r in self.records.values()
                      if r.state in ("queued", "flying", "migrating"))

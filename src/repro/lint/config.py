@@ -77,11 +77,6 @@ class LintConfig:
     #: channel rekey epoch); tests point this at fixture machines.
     typestate_machines: Optional[Tuple[dict, ...]] = None
 
-    #: On-disk cache of per-module flow summaries, keyed by content
-    #: hash, so the cached whole-program pass stays fast (root-relative;
-    #: an absolute path is honored as-is).
-    flow_cache_rel: str = ".lint-flow-cache.json"
-
     #: Directory names never descended into.
     skip_dirs: Tuple[str, ...] = field(
         default=("__pycache__", ".git", ".pytest_cache", ".hypothesis"))
@@ -93,10 +88,6 @@ class LintConfig:
     @property
     def baseline_path(self) -> Path:
         return self.root / self.baseline_rel
-
-    @property
-    def flow_cache_path(self) -> Path:
-        return self.root / self.flow_cache_rel
 
     def rel(self, path: Path) -> str:
         """``path`` relative to the root, POSIX-style (finding identity)."""

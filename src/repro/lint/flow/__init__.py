@@ -11,8 +11,6 @@ whole-program view once per lint run and shares it across the
 * :mod:`repro.lint.flow.summary` — one JSON-serializable summary per
   module (imports, functions, calls, raises, handlers, taint sources),
   extracted from the AST;
-* :mod:`repro.lint.flow.cache` — the on-disk summary cache keyed by
-  content hash, so the cached whole-program pass stays fast;
 * :mod:`repro.lint.flow.graph` — the project call graph + import graph
   with conservative method-resolution heuristics, plus the taint and
   reachability fixpoints the checkers query;

@@ -14,11 +14,12 @@ The graph is memoized on the corpus content signature, so the three
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.core import SourceFile
-from repro.lint.flow.cache import content_sha, load_summaries
+from repro.lint.flow.summary import summarize_module
 
 #: A method name resolved purely by name (unknown receiver) links to at
 #: most this many implementations; more means a common verb (``run``,
@@ -36,19 +37,23 @@ _MAX_PATH = 12
 class ProjectGraph:
     """Whole-program view over one corpus of module summaries."""
 
-    def __init__(self, summaries: Dict[str, Dict], config: LintConfig,
-                 cache_hits: int = 0):
+    def __init__(self, summaries: Dict[str, Dict], config: LintConfig):
         self.summaries = summaries
         self.config = config
-        self.cache_hits = cache_hits
         self.pkg = config.package_rel.rstrip("/").split("/")[-1]
 
         #: dotted module name ("repro.cloud.portal") -> rel
         self.module_of_dotted: Dict[str, str] = {}
         #: package_rel -> rel
         self.rel_of_package_rel: Dict[str, str] = {}
+        #: rel -> top-level names of the modules it imports from
+        self._import_roots: Dict[str, Set[str]] = {}
         for rel in sorted(summaries):
             s = summaries[rel]
+            imports = s["imports"]
+            self._import_roots[rel] = {
+                target.split(".")[0] for target in
+                [*imports["modules"].values(), *imports["from_names"].values()]}
             pkg_rel = s["package_rel"]
             self.rel_of_package_rel[pkg_rel] = rel
             dotted = self._dotted_of(pkg_rel)
@@ -242,21 +247,10 @@ class ProjectGraph:
                 return (ident,)
             init = self.find_method(ident, "__init__")
             return (init,) if init else ()
-        imports = s["imports"]
-        target = imports["from_names"].get(base) \
-            or imports["modules"].get(base)
-        if target is not None:
-            resolved = self.resolve_symbol(
-                ".".join([target] + parts[1:]))
-            if resolved is None:
-                if target.split(".")[0] == self.pkg or len(parts) < 2:
-                    return ()
-                return self.methods_named(parts[-1])
-            kind, ident = resolved
-            if kind == "func":
-                return (ident,)
-            init = self.find_method(ident, "__init__")
-            return (init,) if init else ()
+        if base in self._import_roots[rel]:
+            # A call through an import outside the project (``math.log``,
+            # however it was imported) reaches no project code.
+            return ()
         if len(parts) >= 2:
             return self.methods_named(parts[-1])
         return ()
@@ -361,7 +355,8 @@ def corpus_signature(corpus: Dict[str, SourceFile],
     with identical content)."""
     return (str(config.root), config.package_rel,
             tuple(config.flow_taint_sanitizers),
-            tuple((rel, content_sha(corpus[rel].text))
+            tuple((rel, hashlib.sha256(corpus[rel].text.encode("utf-8"))
+                   .hexdigest())
                   for rel in sorted(corpus)))
 
 
@@ -372,8 +367,8 @@ def project_graph(corpus: Dict[str, SourceFile],
     graph = _GRAPH_MEMO.get(signature)
     if graph is not None:
         return graph
-    summaries, hits = load_summaries(corpus, config)
-    graph = ProjectGraph(summaries, config, cache_hits=hits)
+    summaries = {rel: summarize_module(corpus[rel]) for rel in sorted(corpus)}
+    graph = ProjectGraph(summaries, config)
     if len(_GRAPH_MEMO) >= _MEMO_LIMIT:
         _GRAPH_MEMO.pop(next(iter(_GRAPH_MEMO)))
     _GRAPH_MEMO[signature] = graph

@@ -2,9 +2,8 @@
 from one module, as a JSON-serializable dict.
 
 A summary is a pure function of the module text (suppression comments
-included), which is what makes the on-disk cache sound: same bytes,
-same summary.  All structures are lists/dicts of primitives so they
-round-trip through JSON unchanged.
+included): same bytes, same summary.  All structures are lists/dicts of
+primitives so they round-trip through JSON unchanged.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from repro.lint.checkers._astutil import ImportMap
 from repro.lint.checkers.rng import GLOBAL_RNG_FUNCS
 from repro.lint.checkers.simclock import BANNED_CALLS
 from repro.lint.core import SourceFile
-
-#: Bumped whenever the summary schema changes; stale cache entries are
-#: silently re-extracted.
-SCHEMA_VERSION = 2
 
 
 def _suppressed(src: SourceFile, rule: str, line: int) -> bool:
@@ -187,7 +182,6 @@ def summarize_module(src: SourceFile) -> Dict:
             }
 
     return {
-        "schema": SCHEMA_VERSION,
         "rel": src.rel,
         "package_rel": src.package_rel,
         "imports": {"modules": dict(imap.modules),

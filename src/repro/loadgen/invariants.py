@@ -229,7 +229,7 @@ class InvariantMonitor(SweepMonitor):
                            f"(+{TIME_SLACK_S:.0f} s grace)")
 
     def _check_counters(self) -> None:
-        if not obs.enabled():
+        if not obs.on:
             return
         for instrument in obs.get_registry().instruments():
             if getattr(instrument, "kind", None) != "counter":

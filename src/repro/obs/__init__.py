@@ -1,10 +1,19 @@
 """Telemetry for the onboard stack: metrics, spans, exporters.
 
-One process-wide registry serves every instrumented module.  Telemetry is
-**off by default**: the module-level helpers route to a shared
-:class:`~repro.obs.registry.NullRegistry`, so an instrumented call site
-(``obs.counter("binder.transactions", service=...).inc()``) costs a
-single method call and no allocation until someone calls :func:`enable`.
+One process-wide registry serves every instrumented module, and one
+module flag, :data:`on`, switches it.  Telemetry is **off by default**:
+the module-level helpers then return the shared no-op instruments
+(``NULL_COUNTER``, ``NULL_SPAN``, ...) without touching the registry.
+Hot call sites read the flag themselves, so telemetry that is off costs
+them one module attribute load and no call::
+
+    if obs.on:
+        obs.counter("binder.transactions", service=...).inc()
+
+Cold call sites stay unguarded (``obs.event("vdc.created", ...)``) and
+get the no-op instrument.  The registry interns instruments itself (see
+:meth:`~repro.obs.registry.TelemetryRegistry.intern`), so no call site
+keeps its own memo.
 
 Typical use::
 
@@ -25,7 +34,7 @@ in the README).  The metric/span vocabulary is documented in
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Optional
 
 from repro.obs.export import (
     parse_jsonl,
@@ -34,48 +43,56 @@ from repro.obs.export import (
     validate_records,
     write_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, percentile
-from repro.obs.registry import NULL_REGISTRY, NullRegistry, TelemetryRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.metrics import (
+    NULL_COUNTER,
+    NULL_GAUGE,
+    NULL_HISTOGRAM,
+    Counter,
+    Gauge,
+    Histogram,
+    percentile,
+)
+from repro.obs.registry import TelemetryRegistry
+from repro.obs.tracer import NULL_SPAN, Span, Tracer
 
 #: Environment variable that switches tracing on for the examples/tools.
 TRACE_ENV = "ANDRONE_TRACE"
 
-#: The real registry (always exists, so post-run export works even after
-#: disable()) and the active routing target for the helpers below.
+#: The telemetry switch.  Read it as ``obs.on`` (never ``from repro.obs
+#: import on``, which copies the value once); set it only through
+#: :func:`enable`, :func:`disable` and :func:`reset`.
+on = False
+
+#: The real registry; it always exists, so post-run export works even
+#: after :func:`disable`.
 _registry = TelemetryRegistry()
-_active: Union[TelemetryRegistry, NullRegistry] = NULL_REGISTRY
 
 
 def get_registry() -> TelemetryRegistry:
-    """The process-wide real registry (whether or not it is active)."""
+    """The process-wide registry (whether or not telemetry is on)."""
     return _registry
-
-
-def enabled() -> bool:
-    return _active is _registry
 
 
 def enable(clock_source=None) -> TelemetryRegistry:
     """Switch telemetry on; ``clock_source`` is a Simulator or callable."""
-    global _active
+    global on
     if clock_source is not None:
         _registry.bind_clock(clock_source)
-    _active = _registry
+    on = True
     return _registry
 
 
 def disable() -> None:
-    """Route the helpers back to the null registry (state is kept)."""
-    global _active
-    _active = NULL_REGISTRY
+    """Switch telemetry off; recorded state is kept for export."""
+    global on
+    on = False
 
 
 def reset() -> None:
-    """Disable and drop all recorded state (test isolation)."""
-    global _registry, _active
+    """Switch telemetry off and drop all recorded state (test isolation)."""
+    global _registry, on
     _registry = TelemetryRegistry()
-    _active = NULL_REGISTRY
+    on = False
 
 
 def set_trace_context(**attrs) -> None:
@@ -105,78 +122,35 @@ def auto_enable(clock_source=None) -> Optional[str]:
     return None
 
 
-def active() -> Union[TelemetryRegistry, NullRegistry]:
-    """The registry the helpers currently route to.
-
-    Its *identity* is the cache-invalidation token hot paths use: it
-    changes on every :func:`enable`/:func:`disable`/:func:`reset`, so an
-    instrument memoized against one identity is never reused across a
-    registry swap (see :class:`InstrumentCache`).
-    """
-    return _active
-
-
-class InstrumentCache:
-    """Per-call-site memo for instrument lookups (hot-path interning).
-
-    The module helpers re-derive the sorted, stringified label key on
-    every call; a call site firing thousands of times with the same
-    labels can memoize the returned instrument under a small hashable
-    key instead::
-
-        counter = self._tx_counters.get(node)
-        if counter is None:
-            counter = self._tx_counters.put(node, obs.counter(
-                "binder.transactions", service=..., ns=..., container=...))
-        counter.inc()
-
-    The memo is keyed to the active registry's identity, so
-    ``enable()``/``disable()``/``reset()`` invalidate it wholesale and a
-    cached instrument can never leak counts into the wrong registry.
-    Instances belong on the objects that own the call site (never at
-    module/class level, where every run in the process would share
-    it — the fork-safety lint rule applies to this cache like any other
-    mutable state).
-    """
-
-    __slots__ = ("_registry", "_memo")
-
-    def __init__(self) -> None:
-        self._registry: object = None
-        self._memo: dict = {}
-
-    def get(self, key):
-        """The memoized instrument, or None after a registry swap/miss."""
-        if _active is not self._registry:
-            self._registry = _active
-            self._memo = {}
-            return None
-        return self._memo.get(key)
-
-    def put(self, key, instrument):
-        self._memo[key] = instrument
-        return instrument
-
-
 # -- instrument/trace helpers (the API instrumented modules use) -------------
 def counter(name: str, /, **labels: object):
-    return _active.counter(name, **labels)
+    if on:
+        return _registry.intern(Counter, name, labels)
+    return NULL_COUNTER
 
 
 def gauge(name: str, /, **labels: object):
-    return _active.gauge(name, **labels)
+    if on:
+        return _registry.intern(Gauge, name, labels)
+    return NULL_GAUGE
 
 
 def histogram(name: str, /, unit: str = "", **labels: object):
-    return _active.histogram(name, unit=unit, **labels)
+    if on:
+        return _registry.intern(Histogram, name, labels, unit=unit)
+    return NULL_HISTOGRAM
 
 
 def event(name: str, /, **attrs: object):
-    return _active.event(name, **attrs)
+    if on:
+        return _registry.event(name, **attrs)
+    return None
 
 
 def span(name: str, /, **attrs: object):
-    return _active.span(name, **attrs)
+    if on:
+        return _registry.span(name, **attrs)
+    return NULL_SPAN
 
 
 # -- exporters ----------------------------------------------------------------
@@ -191,10 +165,9 @@ def render_report() -> str:
 
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "InstrumentCache", "Span", "Tracer",
-    "TelemetryRegistry", "NullRegistry", "NULL_REGISTRY",
-    "TRACE_ENV", "active", "auto_enable", "clear_trace_context", "counter",
-    "disable", "enable", "enabled", "event", "export_jsonl", "gauge",
+    "Counter", "Gauge", "Histogram", "Span", "Tracer", "TelemetryRegistry",
+    "TRACE_ENV", "auto_enable", "clear_trace_context", "counter",
+    "disable", "enable", "event", "export_jsonl", "gauge",
     "get_registry", "histogram", "parse_jsonl", "percentile",
     "render_report", "reset", "set_trace_context", "span", "trace_records",
     "validate_records", "write_jsonl",

@@ -7,9 +7,9 @@ samples — benchmark runs are short enough that exact percentiles beat
 bucketed approximations, and the exporter only ships the summary.
 
 Every instrument has a ``Null`` twin with the same interface and no
-state; the module-level API in :mod:`repro.obs` hands those out when
-telemetry is disabled, so instrumented call sites pay a single attribute
-call on the hot path.
+state; the module-level API in :mod:`repro.obs` hands those out while
+telemetry is off, so cold call sites need no guard of their own (hot
+ones test ``obs.on`` and skip the call altogether).
 """
 
 from __future__ import annotations

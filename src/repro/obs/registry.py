@@ -2,11 +2,11 @@
 
 A registry is bound to a clock — normally ``sim.now`` of the one
 :class:`~repro.sim.simulator.Simulator` driving the process — and hands
-out create-or-get instruments keyed by name + labels.  The
-:class:`NullRegistry` twin implements the same surface with shared no-op
-instruments; the module-level API in :mod:`repro.obs` swaps between the
-two so "telemetry off" costs one method call and no allocation on hot
-paths.
+out create-or-get instruments keyed by name + labels.  It interns
+lookups by the call's own name and label items (when every label value
+is a plain ``str``, ``int`` or ``None``), so a hot call site needs no
+memo of its own.  While telemetry is off the module-level API in
+:mod:`repro.obs` never reaches the registry.
 """
 
 from __future__ import annotations
@@ -14,16 +14,19 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.obs.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     Counter,
     Gauge,
     Histogram,
     InstrumentKey,
     labels_key,
 )
-from repro.obs.tracer import NULL_SPAN, Span, Tracer
+from repro.obs.tracer import Span, Tracer
+
+#: Label value types whose equal values always stringify the same, and
+#: never equal a value of another type in the set, so a lookup keyed by
+#: the raw values names exactly one canonical instrument.  Other values
+#: (bools, floats, enums, unhashables) take the canonical key each time.
+_INTERNABLE = frozenset((str, int, type(None)))
 
 
 def _zero_clock() -> int:
@@ -33,11 +36,12 @@ def _zero_clock() -> int:
 class TelemetryRegistry:
     """Instruments plus a tracer, all on one (virtual) clock."""
 
-    enabled = True
-
     def __init__(self, clock: Optional[Callable[[], int]] = None):
         self._clock: Callable[[], int] = clock or _zero_clock
+        #: canonical (name, sorted stringified labels) -> instrument
         self._instruments: Dict[InstrumentKey, object] = {}
+        #: (name, *label items in call order) -> instrument
+        self._interned: Dict[tuple, object] = {}
         self.tracer = Tracer(self._now)
 
     # -- clock -----------------------------------------------------------------
@@ -57,7 +61,23 @@ class TelemetryRegistry:
         return self._now()
 
     # -- instruments ------------------------------------------------------------
-    def _get(self, cls, name: str, labels: Dict[str, object], **kw):
+    def intern(self, cls, name: str, labels: Dict[str, object], **kw):
+        """The ``cls`` instrument for ``name`` + ``labels``, created on
+        first use (``kw`` goes to its constructor).  The module helpers
+        in :mod:`repro.obs` call this with their own labels dict."""
+        # The canonical key sorts and stringifies the labels; build it
+        # only when this exact call shape has not been seen before.
+        if _INTERNABLE.issuperset(map(type, labels.values())):
+            fast = (name, *labels.items())
+            instrument = self._interned.get(fast)
+            if instrument is None:
+                instrument = self._interned[fast] = self._canonical(
+                    cls, name, labels, kw)
+            return instrument
+        return self._canonical(cls, name, labels, kw)
+
+    def _canonical(self, cls, name: str, labels: Dict[str, object],
+                   kw: Dict[str, object]):
         key = labels_key(name, labels)
         instrument = self._instruments.get(key)
         if instrument is None:
@@ -66,13 +86,13 @@ class TelemetryRegistry:
         return instrument
 
     def counter(self, name: str, /, **labels: object) -> Counter:
-        return self._get(Counter, name, labels)
+        return self.intern(Counter, name, labels)
 
     def gauge(self, name: str, /, **labels: object) -> Gauge:
-        return self._get(Gauge, name, labels)
+        return self.intern(Gauge, name, labels)
 
     def histogram(self, name: str, /, unit: str = "", **labels: object) -> Histogram:
-        return self._get(Histogram, name, labels, unit=unit)
+        return self.intern(Histogram, name, labels, unit=unit)
 
     def instruments(self) -> Iterator[object]:
         """All instruments, sorted by (name, labels) for stable exports."""
@@ -90,6 +110,7 @@ class TelemetryRegistry:
     def reset(self) -> None:
         """Drop all instruments and buffered trace records (tests)."""
         self._instruments = {}
+        self._interned = {}
         self.tracer.reset()
 
     def snapshot(self) -> List[dict]:
@@ -101,40 +122,3 @@ class TelemetryRegistry:
             row.update(instrument.snapshot())
             rows.append(row)
         return rows
-
-
-class NullRegistry:
-    """Telemetry disabled: same surface, shared no-op instruments."""
-
-    enabled = False
-    now = 0
-
-    def bind_clock(self, source) -> None:
-        pass
-
-    def counter(self, name: str, /, **labels: object):
-        return NULL_COUNTER
-
-    def gauge(self, name: str, /, **labels: object):
-        return NULL_GAUGE
-
-    def histogram(self, name: str, /, unit: str = "", **labels: object):
-        return NULL_HISTOGRAM
-
-    def event(self, name: str, /, **attrs: object):
-        return None
-
-    def span(self, name: str, /, **attrs: object):
-        return NULL_SPAN
-
-    def instruments(self):
-        return iter(())
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> List[dict]:
-        return []
-
-
-NULL_REGISTRY = NullRegistry()

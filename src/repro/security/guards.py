@@ -17,9 +17,9 @@ clears.
 
 The hot path is one attribute load and a set lookup when the caller is
 exempt (platform containers), and a dict-backed bucket update
-otherwise; admitted-path instruments are interned through
-:class:`repro.obs.InstrumentCache` so a guarded binder route stays
-within the <5% overhead budget ``benchmarks/bench_abuse.py`` gates.
+otherwise; with telemetry off the guard makes no call into
+:mod:`repro.obs`, so a guarded binder route stays within the <5%
+overhead budget ``benchmarks/bench_abuse.py`` gates.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ class RateGuard:
         self.quarantined: Set[str] = set()
         self._tokens: Dict[str, float] = {}
         self._last_refill: Dict[str, float] = {}
-        self._admit_counters = obs.InstrumentCache()
-        self._reject_counters = obs.InstrumentCache()
 
     # -- the gate -------------------------------------------------------------
     def try_admit(self, key: str) -> bool:
@@ -75,11 +73,9 @@ class RateGuard:
             return False
         self._tokens[key] = tokens - 1.0
         self.admitted += 1
-        counter = self._admit_counters.get(key)
-        if counter is None:
-            counter = self._admit_counters.put(key, obs.counter(
-                "sec.guard.admitted", edge=self.edge, tenant=key))
-        counter.inc()
+        if obs.on:
+            obs.counter("sec.guard.admitted", edge=self.edge,
+                        tenant=key).inc()
         if self.detector is not None:
             self.detector.record(self.edge, key, admitted=True)
         return True
@@ -103,12 +99,9 @@ class RateGuard:
 
     def _reject(self, key: str, reason: str) -> None:
         self.rejected += 1
-        counter = self._reject_counters.get((key, reason))
-        if counter is None:
-            counter = self._reject_counters.put((key, reason), obs.counter(
-                "sec.guard.rejected", edge=self.edge, tenant=key,
-                reason=reason))
-        counter.inc()
+        if obs.on:
+            obs.counter("sec.guard.rejected", edge=self.edge, tenant=key,
+                        reason=reason).inc()
         if self.detector is not None:
             self.detector.record(self.edge, key, admitted=False,
                                  reason=reason)

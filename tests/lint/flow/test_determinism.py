@@ -1,5 +1,5 @@
 """Two-run determinism of the whole-program layer (byte-identical JSON
-and SARIF), SARIF document shape, and the cached-pass performance
+and SARIF), SARIF document shape, and the whole-program pass's time
 budget on the real repository tree."""
 
 import json
@@ -7,8 +7,7 @@ import time
 
 from repro.lint import run_lint
 from repro.lint.config import default_config
-from repro.lint.core import all_checkers, build_corpus
-from repro.lint.flow.cache import load_summaries
+from repro.lint.core import all_checkers
 from repro.lint.report import render_json
 from repro.lint.sarif import render_sarif
 
@@ -78,23 +77,8 @@ class TestDeterminism:
 
 
 class TestCachedPassBudget:
-    def test_summary_cache_warms_and_warm_pass_stays_cheap(self, tmp_path):
+    def test_whole_program_pass_on_real_tree_within_budget(self):
         config = default_config()
-        config.flow_cache_rel = str(tmp_path / "flow-cache.json")
-        corpus = build_corpus(config, [])
-        _, hits = load_summaries(corpus, config)
-        assert hits == 0
-        start = time.perf_counter()
-        _, hits = load_summaries(corpus, config)
-        warm = time.perf_counter() - start
-        assert hits == len(corpus)
-        # Generous CI budget: the warm pass re-hashes content and loads
-        # JSON, no re-parsing; the cold pass on this tree takes ~1s.
-        assert warm < 10.0
-
-    def test_whole_program_pass_on_real_tree_within_budget(self, tmp_path):
-        config = default_config()
-        config.flow_cache_rel = str(tmp_path / "flow-cache.json")
         start = time.perf_counter()
         result = run_lint(config, select=_FLOW_RULES)
         elapsed = time.perf_counter() - start

@@ -1,9 +1,8 @@
 """Call-graph construction unit tests on synthetic module trees, plus
-the summary cache's hit/invalidation behavior."""
+pins on the real tree's graph."""
 
 from repro.lint.config import default_config
 from repro.lint.core import build_corpus
-from repro.lint.flow.cache import load_summaries
 from repro.lint.flow.graph import project_graph
 
 from tests.lint.conftest import make_repo
@@ -178,6 +177,36 @@ class TestCallResolution:
         graph = _graph(config)
         assert graph.calls[_fid("a.py::go")] == ()
 
+    def test_external_calls_never_fall_back_to_method_names(self, tmp_path):
+        # A project method shares the name of each stdlib function.
+        config = make_repo(tmp_path, {
+            "src/repro/report.py": """\
+                class Report:
+                    def log(self, line):
+                        return line
+
+                    def walk(self):
+                        return 0
+                """,
+            "src/repro/a.py": """\
+                import ast
+                import math
+                from math import log
+
+                def by_module(x):
+                    return math.log(x)
+
+                def by_name(x):
+                    return log(x)
+
+                def nested(tree):
+                    return list(ast.walk(tree))
+                """,
+        })
+        graph = _graph(config)
+        for name in ("by_module", "by_name", "nested"):
+            assert graph.calls[_fid(f"a.py::{name}")] == ()
+
 
 class TestReachability:
     def test_entry_attribution_is_deterministic(self, tmp_path):
@@ -210,50 +239,19 @@ class TestReachability:
         assert set(reached) == {_fid("a.py::ping"), _fid("a.py::pong")}
 
 
-class TestSummaryCache:
-    def test_second_load_hits_for_unchanged_modules(self, tmp_path):
-        config = make_repo(tmp_path, {"src/repro/a.py": """\
-            def f():
-                return 1
-            """})
-        corpus = build_corpus(config, [])
-        _, hits = load_summaries(corpus, config)
-        assert hits == 0
-        _, hits = load_summaries(corpus, config)
-        assert hits == len(corpus)
-
-    def test_changed_module_is_reextracted(self, tmp_path):
-        config = make_repo(tmp_path, {"src/repro/a.py": """\
-            def f():
-                return 1
-            """})
-        corpus = build_corpus(config, [])
-        load_summaries(corpus, config)
-        (tmp_path / "src/repro/a.py").write_text(
-            "def g():\n    return 2\n", encoding="utf-8")
-        corpus = build_corpus(config, [])
-        summaries, hits = load_summaries(corpus, config)
-        assert hits == 0
-        assert "g" in summaries["src/repro/a.py"]["functions"]
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path):
-        config = make_repo(tmp_path, {"src/repro/a.py": """\
-            def f():
-                return 1
-            """})
-        config.flow_cache_path.write_text("{not json", encoding="utf-8")
-        corpus = build_corpus(config, [])
-        summaries, hits = load_summaries(corpus, config)
-        assert hits == 0
-        assert "f" in summaries["src/repro/a.py"]["functions"]
-
-
 class TestRealTree:
-    def test_drone_node_constructs_mavproxy(self, tmp_path):
+    def test_drone_node_constructs_mavproxy(self):
         # Names a package exports lazily are not chased, so src/ imports
         # name the defining module and the edge stays resolved.
-        config = default_config()
-        config.flow_cache_rel = str(tmp_path / "flow-cache.json")
-        graph = _graph(config)
+        graph = _graph(default_config())
         assert (_fid("mavproxy/proxy.py::MavProxy.__init__")
                 in graph.calls[_fid("core/drone_node.py::DroneNode.__init__")])
+
+    def test_stdlib_log_does_not_link_to_mission_report(self):
+        # rng.normals calls math's log; MissionReport.log is the only
+        # project method of that name.
+        graph = _graph(default_config())
+        log = _fid("core/mission.py::MissionReport.log")
+        assert log not in graph.calls[_fid("sim/rng.py::normals")]
+        assert log not in graph.calls[
+            _fid("kernel/preemption.py::PreemptionModel._sample_body")]

@@ -1,5 +1,5 @@
 """Instrument behaviour: counters, gauges, histogram percentiles, and the
-null-recorder (disabled) mode."""
+telemetry-off mode."""
 
 import pytest
 
@@ -108,6 +108,29 @@ class TestInstrumentsAndLabels:
         c = registry.counter("reqs", code=7)
         assert c.labels == {"code": "7"}
 
+    def test_equal_values_that_print_differently_stay_apart(self):
+        # 1 == True == 1.0, but each prints as its own label value.
+        registry = TelemetryRegistry()
+        values = [1, True, 1.0, "1", 1, True, 1.0]
+        for value in values:
+            registry.counter("reqs", code=value).inc()
+        assert {c.labels["code"]: c.value for c in registry.instruments()} \
+            == {"1": 3, "True": 2, "1.0": 2}
+
+    def test_unhashable_label_values_work(self):
+        registry = TelemetryRegistry()
+        a = registry.counter("reqs", ids=[1, 2], service="cam")
+        b = registry.counter("reqs", service="cam", ids=[1, 2])
+        assert a is b
+        assert a.labels == {"ids": "[1, 2]", "service": "cam"}
+
+    def test_reset_drops_every_instrument(self):
+        registry = TelemetryRegistry()
+        registry.counter("reqs", service="cam").inc()
+        registry.reset()
+        assert registry.counter("reqs", service="cam").value == 0
+        assert len(registry.snapshot()) == 1
+
     def test_snapshot_sorted_and_complete(self):
         registry = TelemetryRegistry()
         registry.counter("b").inc()
@@ -119,7 +142,7 @@ class TestInstrumentsAndLabels:
 
 class TestDisabledMode:
     def test_disabled_by_default_after_reset(self):
-        assert not obs.enabled()
+        assert not obs.on
         assert obs.counter("x") is NULL_COUNTER
         assert obs.gauge("x") is NULL_GAUGE
         assert obs.histogram("x") is NULL_HISTOGRAM
@@ -147,7 +170,7 @@ class TestDisabledMode:
     def test_enable_routes_to_real_registry(self):
         obs.enable()
         obs.counter("reqs").inc()
-        assert obs.enabled()
+        assert obs.on
         assert obs.get_registry().counter("reqs").value == 1
 
     def test_disable_keeps_recorded_state(self):
@@ -160,8 +183,8 @@ class TestDisabledMode:
     def test_auto_enable_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.delenv(obs.TRACE_ENV, raising=False)
         assert obs.auto_enable() is None
-        assert not obs.enabled()
+        assert not obs.on
         path = str(tmp_path / "t.jsonl")
         monkeypatch.setenv(obs.TRACE_ENV, path)
         assert obs.auto_enable() == path
-        assert obs.enabled()
+        assert obs.on
