@@ -164,7 +164,8 @@ class AnDroneSystem:
         fresh pack between flights, as one simulation-process generator.
 
         Returns (as the generator's value) every flight's report merged
-        into one.
+        into one, after :meth:`DroneNode.shutdown` has powered the node
+        down at its last landing.
         """
         order_ids = {order.definition.name: order.order_id
                      for order in orders}
@@ -179,6 +180,7 @@ class AnDroneSystem:
                                    order_ids=order_ids)
             yield from runner.steps()
             report.merge(runner.report)
+        node.shutdown()
         return report
 
     def fly_orders(self, orders: List[Order], node: Optional[DroneNode] = None,

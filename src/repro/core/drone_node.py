@@ -252,9 +252,21 @@ class DroneNode:
 
     # -- lifecycle ------------------------------------------------------------------
     def boot(self) -> None:
-        """Start the flight stack and power monitoring."""
+        """Start the flight stack, power monitoring and the VDC daemon's
+        loops; after :meth:`shutdown`, this readies the node to fly again."""
         self.sitl.start()
         self.power.start()
+        self.vdc.start()
+
+    def shutdown(self) -> None:
+        """Power down after the last landing: stop the MAVProxy telemetry
+        rounds, the flight loop, power monitoring and the VDC daemon's
+        loops.  Nothing onboard serves an order once its flight has
+        offloaded."""
+        self.proxy.stop_telemetry()
+        self.sitl.stop()
+        self.power.stop()
+        self.vdc.stop()
 
     def running_virtual_drones(self) -> int:
         return sum(1 for d in self.vdc.drones.values()

@@ -157,7 +157,8 @@ class _DroneSlot:
     #: runs ``FleetHarness._fly``; its result is the merged flight report.
     process: Optional[Process] = None
     #: per-tenant telemetry counts frozen the instant the drone's last
-    #: flight completes (see FleetHarness._finalize_slot).
+    #: flight completes and ``AnDroneSystem.fly`` has powered it down
+    #: (see FleetHarness._finalize_slot).
     final_counts: Optional[Dict[str, Dict]] = None
 
 
@@ -465,16 +466,15 @@ class FleetHarness:
         return report
 
     def _finalize_slot(self, slot: _DroneSlot) -> None:
-        """Power down one drone's telemetry the instant its last flight
-        completes, freezing its per-tenant counts right there.
+        """Freeze one drone's per-tenant counts the instant its last
+        flight completes.
 
-        A landed drone's telemetry rounds stop, and the station/frame
-        counts are snapshotted before any later-queued event can touch
-        them — so a drone's stats do not depend on how long the rest of
-        the fleet keeps flying."""
+        ``AnDroneSystem.fly`` has just powered the drone down (telemetry
+        rounds included); the station/frame counts are snapshotted
+        before any later-queued event can touch them, so a drone's stats
+        do not depend on how long the rest of the fleet keeps flying."""
         if slot.final_counts is not None:
             return
-        slot.node.proxy.stop_telemetry()
         counts: Dict[str, Dict] = {}
         for tenant in slot.tenants:
             station = self.stations[tenant]

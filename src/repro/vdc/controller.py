@@ -153,6 +153,9 @@ class VirtualDroneController:
         self._supervision = Periodic(sim, self.heartbeat_interval_us,
                                      self._supervision_tick)
         self._restarting = False
+        #: set by :meth:`stop` (the drone powered down after its last
+        #: landing) and cleared by :meth:`start`.
+        self._stopped = False
 
     # ------------------------------------------------------------ creation
     def create_virtual_drone(
@@ -199,8 +202,7 @@ class VirtualDroneController:
         obs.gauge("vdc.tenants").set(len(self.drones))
         if self.supervision_enabled:
             self.checkpoints[name] = self.checkpoint_virtual_drone(name)
-        if not self._restarting:
-            self._enforcement.start()
+        self.start()
         return drone
 
     def _tenant_environment(self, container) -> AndroidEnvironment:
@@ -461,7 +463,7 @@ class VirtualDroneController:
             if not drone.finished and name not in self.checkpoints:
                 self.checkpoints[name] = self.checkpoint_virtual_drone(name)
         self._supervision.period = self.heartbeat_interval_us
-        if not self._restarting:
+        if not (self._restarting or self._stopped):
             self._supervision.start(delay=self.heartbeat_interval_us)
 
     def _supervision_tick(self) -> None:
@@ -565,12 +567,30 @@ class VirtualDroneController:
         def come_back():
             self._restarting = False
             obs.event("vdc.restart", phase="up")
-            if self.drones:
-                self._enforcement.start()
-            if self.supervision_enabled:
-                self._supervision.start()
+            if not self._stopped:
+                self.start()
 
         self.sim.after(int(downtime_s * 1e6), come_back)
+
+    # ------------------------------------------------------ daemon loops
+    def start(self) -> None:
+        """Run allotment enforcement (once there are tenants) and, when
+        enabled, supervision.  A restart in progress starts them when
+        the daemon comes back."""
+        self._stopped = False
+        if self._restarting:
+            return
+        if self.drones:
+            self._enforcement.start()
+        if self.supervision_enabled:
+            self._supervision.start()
+
+    def stop(self) -> None:
+        """Stop enforcement and supervision until the next :meth:`start`;
+        a restart whose downtime outlasts this does not bring them back."""
+        self._stopped = True
+        self._enforcement.stop()
+        self._supervision.stop()
 
     # ------------------------------------------------ checkpoint migration
     def checkpoint_virtual_drone(self, name: str):

@@ -15,7 +15,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 from check_work_counts import EXPECTED, compare, load_expected  # noqa: E402
 
-SEED, WORKLOADS = load_expected(EXPECTED)
+EXPECTED_BY_WORKLOAD = load_expected(EXPECTED)
+WORKLOADS = {workload: counts
+             for workload, (_, counts) in EXPECTED_BY_WORKLOAD.items()}
 
 
 def _result(counts):
@@ -25,9 +27,11 @@ def _result(counts):
                         for name, value in counts.items()}}
 
 
-def test_both_gated_workloads_are_expected_at_seed_42():
-    assert SEED == 42
-    assert sorted(WORKLOADS) == ["city-orders", "fleet-mission"]
+def test_gated_workloads_are_expected_at_their_default_seeds():
+    seeds = {workload: seed
+             for workload, (seed, _) in EXPECTED_BY_WORKLOAD.items()}
+    assert seeds == {"fleet-mission": 42, "city-orders": 42,
+                     "abuse-storm": 2025}
     for counts in WORKLOADS.values():
         assert len(counts) == 28
         assert all(isinstance(value, int) for value in counts.values())

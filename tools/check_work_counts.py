@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Gate on the end-to-end benchmark's deterministic work counts.
 
-Runs ``perfbench/run.py --trace 1`` on each gated workload and compares
-every per-layer metric whose unit is ``count`` (sim events, physics and
-control steps, binder and android transactions, device reads, MAVLink
-frames, guard checks, ...) with the expected counts for the same
-workload in ``benchmarks/baselines/work_counts.json``.  Counts are a
+Runs ``perfbench/run.py --trace 1`` on each gated workload, at the seed
+recorded for it, and compares every per-layer metric whose unit is
+``count`` (sim events, physics and control steps, binder and android
+transactions, device reads, MAVLink frames, guard checks, ...) with the
+expected counts for the same workload in
+``benchmarks/baselines/work_counts.json``.  That file maps each workload
+to ``{"seed": int, "counts": {count name: value}}``.  Counts are a
 pure function of the seed, so any difference means the program now does
 different work: an optimisation that skipped, batched or added calls, or
 a behaviour change.  Wall-time metrics are printed by the benchmark but
@@ -41,10 +43,11 @@ EXPECTED = REPO_ROOT / "benchmarks" / "baselines" / "work_counts.json"
 SECONDS = 5.0
 
 
-def load_expected(path: Path) -> Tuple[int, Dict[str, Dict[str, Any]]]:
-    """``(seed, workload -> {count name -> value})`` from ``path``."""
+def load_expected(path: Path) -> Dict[str, Tuple[int, Dict[str, Any]]]:
+    """``workload -> (seed, {count name -> value})`` from ``path``."""
     doc = json.loads(path.read_text())
-    return doc["seed"], doc["workloads"]
+    return {workload: (entry["seed"], entry["counts"])
+            for workload, entry in doc["workloads"].items()}
 
 
 def measured(workload: str, seed: int) -> Dict[str, Any]:
@@ -80,12 +83,11 @@ def compare(workload: str, expected: Dict[str, Any],
 
 def main() -> int:
     problems: List[str] = []
-    seed, workloads = load_expected(EXPECTED)
-    for workload, expected in workloads.items():
+    for workload, (seed, expected) in load_expected(EXPECTED).items():
         result = measured(workload, seed)
         found = compare(workload, expected, result)
         problems += found
-        print(f"{workload}: {len(expected)} counts checked, "
+        print(f"{workload} seed {seed}: {len(expected)} counts checked, "
               f"{len(found)} problem(s)")
     for problem in problems:
         print(problem)
