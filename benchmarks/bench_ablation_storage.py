@@ -36,7 +36,7 @@ def run_ablation():
         # with layering, the base is stored once across all snapshots.
         node.runtime.images.tag(
             f"vd{i}-snap", base_image.extend(vdrone.container.commit()))
-    stored = node.vdc.save_all_to_vdr()
+    stored = node.vdc.save_to_vdr(node.vdc.drones)
 
     shared_bytes = node.runtime.images.unique_bytes()
     flat_bytes = node.runtime.images.apparent_bytes()

@@ -6,6 +6,7 @@ to ``results/`` so EXPERIMENTS.md can be checked against a fresh run.
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 """
 
+import contextlib
 import pathlib
 
 import pytest
@@ -54,3 +55,37 @@ def export_metrics():
         return path
 
     return write
+
+
+@contextlib.contextmanager
+def _counting(targets):
+    """Count calls of each ``name -> (class, method)`` in ``targets`` while
+    the block runs; yields the ``name -> calls`` dict.  The wrappers go on
+    the class, so install them before building what makes the calls."""
+    counts = dict.fromkeys(targets, 0)
+    patched = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    try:
+        for name, (owner, attr) in targets.items():
+            original = vars(owner)[attr]
+            setattr(owner, attr, counted(name, original))
+            patched.append((owner, attr, original))
+        yield counts
+    finally:
+        for owner, attr, original in reversed(patched):
+            setattr(owner, attr, original)
+
+
+@pytest.fixture
+def count_calls():
+    """Returns a context manager: ``with count_calls(targets) as counts``
+    counts the calls of each ``name -> (class, method)`` in ``targets``
+    made inside the block.  Work counts are exact where wall time on a
+    shared host is not."""
+    return _counting

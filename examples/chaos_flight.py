@@ -154,7 +154,7 @@ def run_chaos_mission(seed: int = 42, verbose: bool = True):
     node = system.add_drone()
     # Supervision on before tenants exist: every created container gets a
     # checkpoint immediately and at each waypoint boundary.
-    node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+    node.vdc.enable_supervision()
     system.register_app_behavior(PACKAGE, _install_surveyor)
 
     # The fly_orders steps, opened up so the injector and ground station

@@ -66,7 +66,7 @@ def main() -> None:
     # --- Storm: the flight is interrupted.  Capture both ways. ---
     checkpoint_rude = node1.vdc.checkpoint_virtual_drone("uncooperative")
     checkpoint_coop = node1.vdc.checkpoint_virtual_drone("cooperative")
-    # Lifecycle path (what save_all_to_vdr does):
+    # Lifecycle path (what save_to_vdr does):
     app_coop.stop()
     app_rude.stop()
     _, diff_coop = node1.runtime.export("cooperative")

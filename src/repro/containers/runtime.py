@@ -20,9 +20,9 @@ from repro.kernel.namespaces import NamespaceSet
 class ContainerRuntime:
     """Manages all containers on one drone's kernel."""
 
-    def __init__(self, kernel: Kernel, image_store: Optional[ImageStore] = None):
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.images = image_store or ImageStore()
+        self.images = ImageStore()
         self.host_namespaces = NamespaceSet("host", isolate=[])
         self._containers: Dict[str, Container] = {}
 

@@ -19,27 +19,26 @@ from repro.kernel.config import PreemptionMode
 from repro.sim import Process, RngRegistry, Simulator, Timeout
 from repro.vdc.controller import VirtualDrone
 
-DEFAULT_HOME = GeoPoint(43.6084298, -85.8110359, 0.0)
+#: The operator's base: every fleet drone takes off and lands here.
+HOME = GeoPoint(43.6084298, -85.8110359, 0.0)
 
 
 class AnDroneSystem:
     """Top-level façade: one cloud service and a fleet of drones."""
 
-    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0,
-                 home: GeoPoint = DEFAULT_HOME, fleet_size: int = 1):
-        self.sim = sim or Simulator()
+    def __init__(self, seed: int = 0):
+        self.sim = Simulator()
         # ANDRONE_TRACE=<path> switches telemetry on for the whole stack,
         # timestamped from this system's sim clock (see docs/METRICS.md).
         obs.auto_enable(self.sim)
         self.rng = RngRegistry(seed)
-        self.home = home
+        self.home = HOME
         self.app_store = AppStore()
         self.billing = BillingService()
         self.portal = WebPortal(self.app_store, self.billing)
         self.vdr = VirtualDroneRepository()
         self.storage = CloudStorage()
-        self.planner = FlightPlanner(home, DroneEnergyModel(),
-                                     fleet_size=fleet_size,
+        self.planner = FlightPlanner(HOME, DroneEnergyModel(),
                                      rng=self.rng.stream("planner.sa"))
         self.fleet: List[DroneNode] = []
         #: package -> behaviour installer, called as f(app, sdk, vdrone)

@@ -273,12 +273,11 @@ class DroneNode:
                    if d.container.state.value == "running")
 
     def start_virtual_drone(self, definition, app_manifests=None,
-                            template=None, resume_diff=None,
-                            completed_waypoints=None):
+                            resume_diff=None, completed_waypoints=None):
         """Create a virtual drone; updates power-model container count."""
         drone = self.vdc.create_virtual_drone(
             definition, app_manifests=app_manifests,
-            template=template, resume_diff=resume_diff,
+            resume_diff=resume_diff,
             completed_waypoints=completed_waypoints)
         self.power.containers = self.running_virtual_drones()
         return drone

@@ -19,6 +19,13 @@ from repro.mavlink.enums import CopterMode, MavCommand
 from repro.mavlink.messages import CommandLong
 from repro.sim import Process, Timeout
 
+#: Cruise altitude of every flight, metres above home.
+CRUISE_ALT_M = 15.0
+#: Horizontal distance at which the drone has reached a waypoint.
+WAYPOINT_ACCEPT_M = 3.5
+#: Longest flight toward one waypoint; the return to base gets twice it.
+NAV_TIMEOUT_S = 240.0
+
 
 class MissionError(RuntimeError):
     """The mission could not proceed (arming failure, nav timeout, ...)."""
@@ -50,8 +57,8 @@ class MissionReport:
         """Fold a later flight's report into this one (multi-flight days)."""
         self.events.extend(other.events)
         self.waypoints_serviced += other.waypoints_serviced
-        self.tenants_completed = other.tenants_completed
-        self.tenants_interrupted = other.tenants_interrupted
+        self.tenants_completed.extend(other.tenants_completed)
+        self.tenants_interrupted.extend(other.tenants_interrupted)
         self.vdr_entries.update(other.vdr_entries)
         self.energy_by_account = other.energy_by_account
         self.duration_s += other.duration_s
@@ -63,9 +70,6 @@ class MissionRunner:
 
     def __init__(self, node, plan: FlightPlan, portal=None,
                  order_ids: Optional[Dict[str, int]] = None,
-                 cruise_alt_m: float = 15.0,
-                 waypoint_accept_m: float = 3.5,
-                 nav_timeout_s: float = 240.0,
                  abort_check: Optional[Callable[[], Optional[str]]] = None):
         """``abort_check`` is polled between waypoints; returning a reason
         string aborts the flight: remaining tenants are force-finished
@@ -75,9 +79,6 @@ class MissionRunner:
         self.plan = plan
         self.portal = portal
         self.order_ids = order_ids or {}
-        self.cruise_alt_m = cruise_alt_m
-        self.waypoint_accept_m = waypoint_accept_m
-        self.nav_timeout_s = nav_timeout_s
         self.abort_check = abort_check
         self.report = MissionReport()
         self._done_waypoints: List[str] = []
@@ -107,9 +108,9 @@ class MissionRunner:
 
         def arrived():
             return (autopilot.position().horizontal_distance_to(point)
-                    <= self.waypoint_accept_m)
+                    <= WAYPOINT_ACCEPT_M)
 
-        for step in self._wait_steps(arrived, self.nav_timeout_s):
+        for step in self._wait_steps(arrived, NAV_TIMEOUT_S):
             yield step
         if not arrived():
             raise MissionError(
@@ -117,45 +118,41 @@ class MissionRunner:
                 f"{point.longitude:.6f}")
 
     # -- the flight ------------------------------------------------------------------------
-    def steps(self):
-        """The mission as a plain generator, for embedding in a larger
-        simulation process (a fleet harness chaining flights on one
-        drone while other drones fly concurrently)."""
-        return self._mission_steps()
-
-    def start_async(self) -> Process:
-        """Run the mission as a simulation process (non-blocking), so
-        several drones can fly concurrently on the shared clock."""
-        return Process(self.node.sim, self._mission_steps(),
-                       name=f"mission-{self.plan.flight_id}")
-
     def execute(self) -> MissionReport:
         """Run the mission to completion, driving the simulator."""
-        self.start_async().join()
+        Process(self.node.sim, self.steps(),
+                name=f"mission-{self.plan.flight_id}").join()
         return self.report
 
-    def _mission_steps(self):
+    def steps(self):
+        """The mission as a plain generator, for a simulation process (a
+        fleet drone chaining flights while other drones fly concurrently
+        on the shared clock)."""
         node, sim, report = self.node, self.node.sim, self.report
         start_us = sim.now
         vdc = node.vdc
         vdc.on_waypoint_done = self._done_waypoints.append
+        # The notices and the offload cover this flight's tenants only; a
+        # later flight of the day carries the rest.
+        tenants = self.plan.tenants()
 
         # Portal: flight started, hand out access info.
-        for tenant, order_id in self.order_ids.items():
-            if self.portal is not None:
-                self.portal.flight_started(order_id, ip="203.0.113.7",
-                                           port=5000 + order_id)
+        if self.portal is not None:
+            for tenant, order_id in self.order_ids.items():
+                if tenant in tenants:
+                    self.portal.flight_started(order_id, ip="203.0.113.7",
+                                               port=5000 + order_id)
 
         report.log(sim.now, "takeoff")
         self.node.proxy.master_set_mode(CopterMode.GUIDED)
         result = self._master(MavCommand.COMPONENT_ARM_DISARM, param1=1.0)
         if int(result) != 0:
             raise MissionError(f"arming denied: {result}")
-        self._master(MavCommand.NAV_TAKEOFF, param7=self.cruise_alt_m)
+        self._master(MavCommand.NAV_TAKEOFF, param7=CRUISE_ALT_M)
 
         def at_altitude():
             return (node.sitl.autopilot.position_est.position[2]
-                    > self.cruise_alt_m - 1.5)
+                    > CRUISE_ALT_M - 1.5)
 
         yield from self._wait_steps(at_altitude, 60.0)
         if not at_altitude():
@@ -202,13 +199,15 @@ class MissionRunner:
             return (not node.sitl.autopilot.armed
                     and node.sitl.physics.position[2] < 0.5)
 
-        yield from self._wait_steps(landed, self.nav_timeout_s * 2)
+        yield from self._wait_steps(landed, NAV_TIMEOUT_S * 2)
         report.returned_home = landed()
         report.log(sim.now, "landed" if report.returned_home else "RTL timeout")
 
         # Offload: VDR save, file upload, portal notifications.
-        report.vdr_entries = vdc.save_all_to_vdr()
-        for tenant, drone in vdc.drones.items():
+        flown = [name for name in vdc.drones if name in tenants]
+        report.vdr_entries = vdc.save_to_vdr(flown)
+        for tenant in flown:
+            drone = vdc.drones[tenant]
             interrupted = drone.force_finished_reason is not None
             (report.tenants_interrupted if interrupted
              else report.tenants_completed).append(tenant)

@@ -12,7 +12,6 @@ by accounting both against the same battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.devices.battery import Battery, BatteryDepletedError
 from repro.sim import Periodic
@@ -35,26 +34,28 @@ class PowerModel:
                 + self.per_container_w * containers)
 
 
+#: The Pi 3's SoC power curve.
+SOC_MODEL = PowerModel()
+#: Sampling period of the power monitor: 1 s of sim time.
+PERIOD_US = 1_000_000
+
+
 class PowerMonitor:
     """Periodic sampler: turns kernel utilization and propulsion power
     into battery draw, attributed per tenant for billing."""
 
     def __init__(self, sim, kernel, battery: Battery,
-                 model: Optional[PowerModel] = None,
-                 physics=None, active_account=None,
-                 period_us: int = 1_000_000):
+                 physics=None, active_account=None):
         """``active_account`` is a zero-arg callable naming who currently
         holds flight control (the VDC's active tenant), or None."""
         self.sim = sim
         self.kernel = kernel
         self.battery = battery
-        self.model = model or PowerModel()
         self.physics = physics
         self.active_account = active_account
-        self.period_us = period_us
         self._last_busy_us = 0.0
         self._last_sample_us = 0
-        self._loop = Periodic(sim, period_us, self._sample)
+        self._loop = Periodic(sim, PERIOD_US, self._sample)
         self.samples = []          # (time_us, soc_w, propulsion_w)
         self.containers = 0
         self.depleted = False
@@ -64,7 +65,7 @@ class PowerMonitor:
             return
         self._last_busy_us = self.kernel.cpu_busy_integral_us()
         self._last_sample_us = self.sim.now
-        self._loop.start(delay=self.period_us)
+        self._loop.start(delay=PERIOD_US)
 
     def stop(self) -> None:
         self._loop.stop()
@@ -78,7 +79,7 @@ class PowerMonitor:
     def _sample(self) -> None:
         span_s = (self.sim.now - self._last_sample_us) / 1e6
         utilization = self.utilization_since_last()
-        soc_w = self.model.soc_power_w(utilization, self.containers)
+        soc_w = SOC_MODEL.soc_power_w(utilization, self.containers)
         propulsion_w = self.physics.propulsion_power_w() if self.physics else 0.0
         account = "platform"
         if self.active_account is not None:

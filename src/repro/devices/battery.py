@@ -11,6 +11,12 @@ from __future__ import annotations
 from typing import Dict
 
 
+#: Nominal 3S LiPo pack voltage.
+NOMINAL_VOLTAGE = 11.1
+#: Share of the pack a flight may draw: LiPo packs shouldn't be run flat.
+USABLE_FRACTION = 0.85
+
+
 class BatteryDepletedError(RuntimeError):
     """Drawn past usable capacity."""
 
@@ -18,14 +24,11 @@ class BatteryDepletedError(RuntimeError):
 class Battery:
     """Coulomb/energy counter over a fixed capacity."""
 
-    def __init__(self, name: str = "battery", capacity_wh: float = 55.5,
-                 nominal_voltage: float = 11.1, usable_fraction: float = 0.85):
-        # 5000 mAh * 11.1 V = 55.5 Wh; LiPo packs shouldn't be run flat.
+    def __init__(self, name: str = "battery", capacity_wh: float = 55.5):
+        # 5000 mAh * 11.1 V = 55.5 Wh.
         self.name = name
         self.capacity_j = capacity_wh * 3600.0
-        self.nominal_voltage = nominal_voltage
-        self.usable_fraction = usable_fraction
-        self.usable_j = self.capacity_j * usable_fraction
+        self.usable_j = self.capacity_j * USABLE_FRACTION
         self.drawn_j = 0.0
         self._pack_start_j = 0.0
         self._per_account: Dict[str, float] = {}
@@ -65,10 +68,10 @@ class Battery:
         survive the swap); only the usable budget is extended by one full
         pack, as the VDC's energy billing spans flights.
         """
-        self.usable_j = self.drawn_j + self.capacity_j * self.usable_fraction
+        self.usable_j = self.drawn_j + self.capacity_j * USABLE_FRACTION
         self._pack_start_j = self.drawn_j
 
     def voltage(self) -> float:
         """Loaded pack voltage, sagging linearly with depth of discharge."""
         depth = min(1.0, (self.drawn_j - self._pack_start_j) / self.capacity_j)
-        return self.nominal_voltage * (1.05 - 0.15 * depth)
+        return NOMINAL_VOLTAGE * (1.05 - 0.15 * depth)

@@ -12,6 +12,9 @@ from typing import Optional
 
 from repro.devices.bus import Device, DeviceHandle, DeviceStateError
 
+#: Video frame rate of a recording.
+VIDEO_FPS = 30
+
 
 @dataclass
 class CameraFrame:
@@ -61,11 +64,10 @@ class Camera(Device):
     """Single-client camera with still capture and video recording."""
 
     def __init__(self, name: str = "camera", state_provider=None,
-                 width: int = 3280, height: int = 2464, video_fps: int = 30):
+                 width: int = 3280, height: int = 2464):
         super().__init__(name, state_provider)
         self.width = width
         self.height = height
-        self.video_fps = video_fps
         self._frame_seq = itertools.count(1)
         self._recording_since: Optional[int] = None
 
@@ -103,7 +105,7 @@ class Camera(Device):
         self._recording_since = None
         end = self._state().time_us
         duration_s = max(0.0, (end - start) / 1e6)
-        frames = int(duration_s * self.video_fps)
+        frames = int(duration_s * VIDEO_FPS)
         # ~1080p H.264 at ~8 Mbit/s.
         return VideoSegment(start, end, frames, int(duration_s * 1_000_000))
 

@@ -15,6 +15,11 @@ from repro.sim.rng import normals
 
 #: Meters of latitude per degree (spherical approximation).
 M_PER_DEG_LAT = 111_320.0
+#: Horizontal position and Doppler velocity noise sigmas per axis.
+NOISE_M = 1.2
+VELOCITY_NOISE_MS = 0.12
+#: Sigmas of a fix's draws: north, east, velocity east and north, altitude.
+NOISE_SIGMAS = (NOISE_M, NOISE_M, VELOCITY_NOISE_MS, VELOCITY_NOISE_MS, 2.0)
 
 
 @dataclass
@@ -47,14 +52,9 @@ class GpsFix:
 class GpsReceiver(Device):
     """Single-client GPS with 5 Hz fixes and Gaussian position noise."""
 
-    def __init__(self, name: str = "gps", state_provider=None, rng=None,
-                 noise_m: float = 1.2, rate_hz: float = 5.0,
-                 velocity_noise_ms: float = 0.12):
+    def __init__(self, name: str = "gps", state_provider=None, rng=None):
         super().__init__(name, state_provider)
         self._rng = rng
-        self.noise_m = noise_m
-        self.rate_hz = rate_hz
-        self.velocity_noise_ms = velocity_noise_ms
 
     def read_fix(self, handle: DeviceHandle) -> GpsFix:
         # _check()/_state() inlined: service-storm hot path.
@@ -66,10 +66,8 @@ class GpsReceiver(Device):
         if rng is not None:
             # Draw order (north, east, velocity east, velocity north,
             # altitude) is part of the RNG stream contract — keep it.
-            noise_m = self.noise_m
-            vel_noise = self.velocity_noise_ms
             noise_n, noise_e, vel_noise_e, vel_noise_n, alt_noise = normals(
-                rng, (noise_m, noise_m, vel_noise, vel_noise, 2.0))
+                rng, NOISE_SIGMAS)
             vel_e = vx + vel_noise_e
             vel_n = vy + vel_noise_n
         else:

@@ -15,6 +15,11 @@ from repro.devices.bus import Device, DeviceHandle
 from repro.sim.rng import normals
 
 GRAVITY = 9.80665
+#: White-noise sigmas per axis: accelerometer (m/s^2) and gyro (rad/s).
+ACCEL_NOISE = 0.05
+GYRO_NOISE = 0.002
+NOISE_SIGMAS = (ACCEL_NOISE, ACCEL_NOISE, ACCEL_NOISE,
+                GYRO_NOISE, GYRO_NOISE, GYRO_NOISE)
 
 
 @dataclass
@@ -33,12 +38,9 @@ class ImuReading:
 class Imu(Device):
     """Single-client IMU sampled at up to 1 kHz."""
 
-    def __init__(self, name: str = "imu", state_provider=None, rng=None,
-                 accel_noise: float = 0.05, gyro_noise: float = 0.002):
+    def __init__(self, name: str = "imu", state_provider=None, rng=None):
         super().__init__(name, state_provider)
         self._rng = rng
-        self.accel_noise = accel_noise
-        self.gyro_noise = gyro_noise
         # Fixed per-device bias, as on a real uncalibrated part.
         if rng is not None:
             self._accel_bias = tuple(rng.gauss(0.0, 0.02) for _ in range(3))
@@ -67,9 +69,7 @@ class Imu(Device):
         if rng is not None:
             # Draw order (3 accel then 3 gyro) is part of the RNG stream
             # contract — keep it stable.
-            an, gn = self.accel_noise, self.gyro_noise
-            nax, nay, naz, ngp, ngq, ngr = normals(rng, (an, an, an,
-                                                         gn, gn, gn))
+            nax, nay, naz, ngp, ngq, ngr = normals(rng, NOISE_SIGMAS)
             accel = (ax + gx + bax + nax, ay + gy + bay + nay,
                      az + gz + baz + naz)
             gyro = (p + bgp + ngp, q + bgq + ngq, r + bgr + ngr)

@@ -37,12 +37,11 @@ SENSOR_SERVICES = {
 class FaultInjector:
     """Schedules and applies one :class:`FaultPlan` on one simulator."""
 
-    def __init__(self, sim, plan: FaultPlan, rng: Optional[RngRegistry] = None):
+    def __init__(self, sim, plan: FaultPlan):
         plan.validate()
         self.sim = sim
         self.plan = plan
-        self._rng = rng or RngRegistry(plan.seed)
-        self._binder_rng = self._rng.stream("faults.binder")
+        self._binder_rng = RngRegistry(plan.seed).stream("faults.binder")
         #: Deterministic action log: dicts of t/action/kind/target.
         self.log: List[dict] = []
         self._links: Dict[str, object] = {}

@@ -1,7 +1,7 @@
 """Resilience policies: retry with exponential backoff.
 
-:class:`RetryPolicy` is the schedule math (base, multiplier, cap, optional
-jitter); :func:`retry_call` applies it to a synchronous callable, and
+:class:`RetryPolicy` is the schedule math (a base delay doubled per retry
+up to a cap); :func:`retry_call` applies it to a synchronous callable, and
 :func:`record_failure` is its per-failure step for callers that run the
 attempt loop themselves.
 
@@ -10,17 +10,19 @@ are synchronous within a single simulator event, so a retrying caller
 cannot suspend mid-call.  Instead the computed delay for every retry is
 recorded (``fault.retry_backoff_us`` histogram) and the retries execute
 immediately.  Components that *can* wait — the VDC supervision loop, link
-recovery — use real simulator delays.  Determinism: without an ``rng``
-the schedule is a pure function of the attempt number; with one, jitter
-draws from a named seeded stream (see :mod:`repro.sim.rng`).
+recovery — use real simulator delays.  Determinism: the schedule is a
+pure function of the attempt number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, Type
+from typing import Callable, Tuple, Type
 
 import repro.obs as obs
+
+#: Growth of the backoff delay from one retry to the next.
+BACKOFF_MULTIPLIER = 2.0
 
 
 class RetriesExhausted(RuntimeError):
@@ -36,42 +38,26 @@ class RetriesExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff: ``base * multiplier^(n-1)`` capped at ``cap``.
-
-    ``jitter`` adds up to that fraction of the computed delay, drawn
-    uniformly from the supplied rng (full determinism when the rng comes
-    from a seeded :class:`~repro.sim.rng.RngRegistry` stream).
-    """
+    """Exponential backoff: ``base * BACKOFF_MULTIPLIER^(n-1)`` capped at
+    ``cap``."""
 
     max_attempts: int = 4
     base_us: int = 10_000
     cap_us: int = 1_000_000
-    multiplier: float = 2.0
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.base_us < 0 or self.cap_us < 0:
             raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
-    def backoff_us(self, attempt: int, rng=None) -> int:
+    def backoff_us(self, attempt: int) -> int:
         """Delay before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         delay = min(float(self.cap_us),
-                    self.base_us * self.multiplier ** (attempt - 1))
-        if self.jitter and rng is not None:
-            delay += delay * self.jitter * rng.random()
+                    self.base_us * BACKOFF_MULTIPLIER ** (attempt - 1))
         return int(round(delay))
-
-    def schedule_us(self, rng=None) -> List[int]:
-        """The full backoff schedule: one delay per retry (attempts - 1)."""
-        return [self.backoff_us(n, rng) for n in range(1, self.max_attempts)]
 
 
 def retry_call(
@@ -79,7 +65,6 @@ def retry_call(
     policy: RetryPolicy,
     *,
     retry_on: Tuple[Type[BaseException], ...] = (RuntimeError,),
-    rng=None,
     label: str = "",
 ):
     """Call ``fn()`` under ``policy``, retrying on ``retry_on`` exceptions.
@@ -93,12 +78,12 @@ def retry_call(
         try:
             return fn()
         except retry_on as exc:
-            record_failure(policy, attempt, exc, rng=rng, label=label)
+            record_failure(policy, attempt, exc, label=label)
             attempt += 1
 
 
 def record_failure(policy: RetryPolicy, attempt: int, exc: BaseException,
-                   *, rng=None, label: str = "") -> None:
+                   *, label: str = "") -> None:
     """Account the failure of attempt number ``attempt`` (1-based).
 
     Raises :class:`RetriesExhausted` (chaining ``exc``) when it was the
@@ -111,7 +96,7 @@ def record_failure(policy: RetryPolicy, attempt: int, exc: BaseException,
     if attempt >= policy.max_attempts:
         obs.counter("fault.retries_exhausted", call=call).inc()
         raise RetriesExhausted(label, attempt, exc) from exc
-    backoff = policy.backoff_us(attempt, rng)
+    backoff = policy.backoff_us(attempt)
     obs.counter("fault.retries", call=call).inc()
     obs.histogram("fault.retry_backoff_us", unit="us",
                   call=call).observe(backoff)

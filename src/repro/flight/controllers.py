@@ -12,6 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+#: Horizontal speed and lean-angle limits of the position controller.
+MAX_SPEED_MS = 8.0
+MAX_LEAN_RAD = math.radians(25)
+
 
 def clamp(x: float, lo: float, hi: float) -> float:
     """``max(lo, min(hi, x))`` without the two builtin calls.
@@ -117,12 +121,10 @@ class AltitudeController:
 class PositionController:
     """Horizontal position → velocity → lean angles."""
 
-    def __init__(self, max_speed_ms: float = 8.0, max_lean_rad: float = math.radians(25)):
+    def __init__(self):
         self.pos_p = 0.4
-        self.vel_e = Pid(0.10, 0.02, 0.05, limit=max_lean_rad, i_limit=0.2)
-        self.vel_n = Pid(0.10, 0.02, 0.05, limit=max_lean_rad, i_limit=0.2)
-        self.max_speed_ms = max_speed_ms
-        self.max_lean_rad = max_lean_rad
+        self.vel_e = Pid(0.10, 0.02, 0.05, limit=MAX_LEAN_RAD, i_limit=0.2)
+        self.vel_n = Pid(0.10, 0.02, 0.05, limit=MAX_LEAN_RAD, i_limit=0.2)
 
     def reset(self) -> None:
         self.vel_e.reset()
@@ -131,7 +133,7 @@ class PositionController:
     def update(self, target_enu, position, velocity, yaw: float,
                dt_s: float, speed_limit: float = None) -> Tuple[float, float]:
         """Returns desired (roll, pitch) in radians."""
-        limit = min(self.max_speed_ms, speed_limit or self.max_speed_ms)
+        limit = min(MAX_SPEED_MS, speed_limit or MAX_SPEED_MS)
         err_e = target_enu[0] - position[0]
         err_n = target_enu[1] - position[1]
         desired_ve = self.pos_p * err_e
@@ -149,7 +151,7 @@ class PositionController:
         sy, cy = math.sin(yaw), math.cos(yaw)
         pitch = -(lean_n * cy + lean_e * sy)
         roll = (lean_e * cy - lean_n * sy)
-        lean = self.max_lean_rad
+        lean = MAX_LEAN_RAD
         return clamp(roll, -lean, lean), clamp(pitch, -lean, lean)
 
 

@@ -15,30 +15,34 @@ from typing import Optional, Tuple
 from repro.devices.imu import GRAVITY, ImuReading
 
 
-#: The loop rate `alpha` is tuned against.  The blend weight must scale
+#: The loop rate ``ALPHA`` is tuned against.  The blend weight must scale
 #: with the actual sample interval or the filter's time constant changes
 #: with loop rate: SITLs running the fast loop slower than 400 Hz (the
 #: fleet harness uses 50 Hz) would correct gyro drift 8x+ more weakly,
 #: and the resulting steady attitude bias (~gyro_bias * tau) is enough to
 #: park a hover several metres off target.
 DESIGN_RATE_HZ = 400.0
+#: Gyro weight per sample at DESIGN_RATE_HZ.
+ALPHA = 0.999
+#: ALPHA as a time constant: (1 - alpha) per sample at DESIGN_RATE_HZ
+#: == dt/tau per second.
+TAU_S = 1.0 / (DESIGN_RATE_HZ * (1.0 - ALPHA))
+#: Compass correction gain per heading sample.
+YAW_GAIN = 0.05
+#: First-order position corrections per GPS fix and barometer sample.
+GPS_GAIN = 0.15
+BARO_GAIN = 0.2
 
 
 class AttitudeEstimator:
     """Complementary filter over IMU samples.
 
-    ``alpha`` is the gyro weight per sample *at 400 Hz*; internally it is
-    converted to a time constant so the filter behaves identically at any
-    loop rate.
+    The gyro weight ``ALPHA`` holds per sample *at 400 Hz*; the filter
+    uses it as the time constant ``TAU_S`` so it behaves identically at
+    any loop rate.
     """
 
-    def __init__(self, alpha: float = 0.999, yaw_gain: float = 0.05):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        self.alpha = alpha
-        # (1 - alpha) per sample at DESIGN_RATE_HZ == dt/tau per second.
-        self.tau_s = 1.0 / (DESIGN_RATE_HZ * (1.0 - alpha))
-        self.yaw_gain = yaw_gain
+    def __init__(self):
         self.roll = 0.0
         self.pitch = 0.0
         self.yaw = 0.0
@@ -59,7 +63,7 @@ class AttitudeEstimator:
         if 0.5 * GRAVITY < accel_norm < 1.5 * GRAVITY:
             accel_roll = math.atan2(ay, az)
             accel_pitch = math.atan2(-ax, math.sqrt(ay * ay + az * az))
-            alpha = math.exp(-dt_s / self.tau_s)
+            alpha = math.exp(-dt_s / TAU_S)
             self.roll = alpha * gyro_roll + (1 - alpha) * accel_roll
             self.pitch = alpha * gyro_pitch + (1 - alpha) * accel_pitch
         else:
@@ -70,7 +74,7 @@ class AttitudeEstimator:
             # Blend on the circle to avoid wrap glitches; the compass
             # arrives at only 10 Hz so it gets its own, larger gain.
             err = (heading_rad - yaw_gyro + math.pi) % (2 * math.pi) - math.pi
-            self.yaw = (yaw_gyro + self.yaw_gain * err) % (2 * math.pi)
+            self.yaw = (yaw_gyro + YAW_GAIN * err) % (2 * math.pi)
         else:
             self.yaw = (self.yaw + r * dt_s) % (2 * math.pi)
         self.samples += 1
@@ -79,9 +83,7 @@ class AttitudeEstimator:
 class PositionEstimator:
     """First-order GPS/baro fusion in the local ENU frame."""
 
-    def __init__(self, gps_gain: float = 0.15, baro_gain: float = 0.2):
-        self.gps_gain = gps_gain
-        self.baro_gain = baro_gain
+    def __init__(self):
         self.position = [0.0, 0.0, 0.0]
         self.velocity = [0.0, 0.0, 0.0]
         self._initialized = False
@@ -98,10 +100,10 @@ class PositionEstimator:
             self.velocity[0], self.velocity[1] = vel_e, vel_n
             self._initialized = True
             return
-        self.position[0] += self.gps_gain * (east - self.position[0])
-        self.position[1] += self.gps_gain * (north - self.position[1])
-        self.velocity[0] += self.gps_gain * (vel_e - self.velocity[0])
-        self.velocity[1] += self.gps_gain * (vel_n - self.velocity[1])
+        self.position[0] += GPS_GAIN * (east - self.position[0])
+        self.position[1] += GPS_GAIN * (north - self.position[1])
+        self.velocity[0] += GPS_GAIN * (vel_e - self.velocity[0])
+        self.velocity[1] += GPS_GAIN * (vel_n - self.velocity[1])
 
     def correct_baro(self, altitude_m: float) -> None:
-        self.position[2] += self.baro_gain * (altitude_m - self.position[2])
+        self.position[2] += BARO_GAIN * (altitude_m - self.position[2])

@@ -34,7 +34,7 @@ INDUCED_POWER_DENOM = math.sqrt(2 * 1.225 * (math.pi * (0.120) ** 2))
 GUST_SIGMAS = (0.05, 0.05, 0.05)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadcopterParams:
     """Physical parameters (prototype defaults)."""
 
@@ -52,20 +52,22 @@ class QuadcopterParams:
         return (self.mass_kg * GRAVITY / 4.0) / self.max_thrust_per_motor_n
 
 
+#: The prototype airframe every vehicle flies.
+PARAMS = QuadcopterParams()
+
+
 class QuadcopterPhysics:
     """The vehicle's ground-truth state and dynamics."""
 
-    def __init__(self, params: Optional[QuadcopterParams] = None,
-                 home: Optional[GeoPoint] = None, rng=None,
-                 wind_enu: Tuple[float, float, float] = (0.0, 0.0, 0.0)):
-        self.params = params or QuadcopterParams()
+    def __init__(self, home: Optional[GeoPoint] = None, rng=None):
         #: fixed for the vehicle's life: snapshot() keeps its longitude
         #: scale (meters per degree) from here.
         self.home = home or GeoPoint(43.6084298, -85.8110359, 0.0)
         self._home_lon_scale = M_PER_DEG_LAT * math.cos(
             math.radians(self.home.latitude))
         self._rng = rng
-        self.wind_enu = wind_enu
+        #: steady wind, m/s ENU; calm until the weather service sets it.
+        self.wind_enu: Tuple[float, float, float] = (0.0, 0.0, 0.0)
         # State: ENU position/velocity, Euler attitude, body rates.
         self.position = [0.0, 0.0, 0.0]
         self.velocity = [0.0, 0.0, 0.0]
@@ -147,7 +149,7 @@ class QuadcopterPhysics:
         # position, velocity and motor_thrust lists are updated in place.
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        p = self.params
+        p = PARAMS
         # Commands clamped to [0, 1] (same result as max then min).
         c1, c2, c3, c4 = motor_commands
         c1 = c1 if c1 > 0.0 else 0.0

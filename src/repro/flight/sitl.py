@@ -15,10 +15,13 @@ from typing import Callable, Optional
 from repro.flight.autopilot import Autopilot, DirectSensors
 from repro.flight.geo import GeoPoint
 from repro.flight.logs import FlightLog
-from repro.flight.physics import QuadcopterParams, QuadcopterPhysics
+from repro.flight.physics import PARAMS, QuadcopterPhysics
 from repro.mavlink.enums import CopterMode, MavCommand, MavResult
 from repro.mavlink.messages import CommandAck, CommandLong, MavlinkMessage, SetPositionTarget
 from repro.sim import Periodic, RngRegistry, Simulator
+
+#: Sim-time interval between :meth:`SitlDrone.run_until` predicate checks.
+POLL_S = 0.25
 
 
 class SitlDrone:
@@ -31,7 +34,6 @@ class SitlDrone:
         home: Optional[GeoPoint] = None,
         rate_hz: float = 400.0,
         jitter_provider: Optional[Callable[[], float]] = None,
-        params: Optional[QuadcopterParams] = None,
         log: Optional[FlightLog] = None,
         sensors=None,
     ):
@@ -42,9 +44,7 @@ class SitlDrone:
         self.rate_hz = rate_hz
         self.period_us = 1e6 / rate_hz
         self.jitter_provider = jitter_provider
-        params = params or QuadcopterParams()
         self.physics = QuadcopterPhysics(
-            params=params,
             home=home or GeoPoint(43.6084298, -85.8110359, 0.0),
             rng=rng.stream("physics.gusts"),
         )
@@ -54,7 +54,7 @@ class SitlDrone:
         self.autopilot = Autopilot(
             sensors,
             home=self.physics.home,
-            hover_throttle=params.hover_throttle(),
+            hover_throttle=PARAMS.hover_throttle(),
             log=log,
             truth_provider=self.physics.snapshot,
         )
@@ -119,12 +119,13 @@ class SitlDrone:
             param5=point.latitude, param6=point.longitude, param7=point.altitude_m,
         ))
 
-    def run_until(self, predicate: Callable[[], bool], timeout_s: float = 120.0,
-                  poll_s: float = 0.25) -> bool:
-        """Advance the simulation until ``predicate()`` or timeout."""
+    def run_until(self, predicate: Callable[[], bool],
+                  timeout_s: float = 120.0) -> bool:
+        """Advance the simulation until ``predicate()`` or timeout,
+        checking it every ``POLL_S`` of sim time."""
         deadline = self.sim.now + int(timeout_s * 1e6)
         while self.sim.now < deadline:
-            self.sim.run(until=min(deadline, self.sim.now + int(poll_s * 1e6)))
+            self.sim.run(until=min(deadline, self.sim.now + int(POLL_S * 1e6)))
             if predicate():
                 return True
         return predicate()

@@ -174,6 +174,10 @@ def make_city_specs(scenario: CityScenario) -> List[DroneSpec]:
     return specs
 
 
+#: Sim-time interval between two sweeps over a city's order records.
+SWEEP_INTERVAL_S = 2.0
+
+
 class CityInvariantMonitor(SweepMonitor):
     """Sweeps the control plane's promises while the city runs.
 
@@ -215,8 +219,8 @@ class CityInvariantMonitor(SweepMonitor):
     TERMINAL = ("completed", "failed", "rejected")
 
     def __init__(self, sim: Simulator, plane: CityControlPlane,
-                 max_pending: int, interval_s: float = 2.0):
-        super().__init__(sim, interval_s)
+                 max_pending: int):
+        super().__init__(sim, SWEEP_INTERVAL_S)
         self.plane = plane
         self.max_pending = max_pending
         #: tenant -> its position in ``plane.records`` (insertion order).

@@ -290,7 +290,7 @@ class FleetHarness:
                                 drone_type=scenario.drone_type,
                                 sitl_rate_hz=scenario.sitl_rate_hz)
         if scenario.chaos_level >= 2:
-            node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+            node.vdc.enable_supervision()
         if self.fabric is not None:
             self.fabric.protect_node(node)
         slot = _DroneSlot(index=drone_index, node=node)

@@ -1,6 +1,6 @@
 """Continuous invariants checked while a fleet soaks.
 
-The monitor rides the simulation clock (every ``interval_s`` of sim
+The monitor rides the simulation clock (every ``SWEEP_INTERVAL_S`` of sim
 time) and asserts the properties the paper's design promises must hold
 at *every* instant, not just at the end of a flight:
 
@@ -111,14 +111,18 @@ class SweepMonitor:
         raise NotImplementedError
 
 
+#: Sim-time interval between two sweeps over a fleet's drones.
+SWEEP_INTERVAL_S = 0.5
+
+
 class InvariantMonitor(SweepMonitor):
     """Periodically checks every watched drone node.
 
     ``watch(name, node)`` before ``start()``.
     """
 
-    def __init__(self, sim, interval_s: float = 0.5):
-        super().__init__(sim, interval_s)
+    def __init__(self, sim):
+        super().__init__(sim, SWEEP_INTERVAL_S)
         self._nodes: Dict[str, object] = {}
         # high-water marks for the accounting invariants.
         self._time_seen: Dict[Tuple[str, str], float] = {}

@@ -31,6 +31,8 @@ from repro.sim import Periodic
 #: Telemetry periods of the rounds every tenant's VfcServer receives.
 HEARTBEAT_PERIOD_US = 1_000_000
 POSITION_PERIOD_US = 250_000
+#: Distance from the recovery point at which geofence recovery ends.
+RECOVERY_ACCEPT_M = 4.0
 
 
 class MavProxy:
@@ -137,10 +139,9 @@ class MavProxy:
         self.drone.autopilot.set_geofence(None, enabled=False)
         self.drone.autopilot.on_breach = None
 
-    def fc_recover_to(self, point: GeoPoint, on_recovered: Callable,
-                      accept_m: float = 4.0) -> None:
-        """Guide the vehicle to ``point`` (geofence recovery), then call
-        back.  Temporarily takes the vehicle into GUIDED under proxy
+    def fc_recover_to(self, point: GeoPoint, on_recovered: Callable) -> None:
+        """Guide the vehicle to within ``RECOVERY_ACCEPT_M`` of ``point``
+        (geofence recovery), then call back.  Temporarily takes the vehicle into GUIDED under proxy
         control; tenant commands are declined meanwhile."""
         autopilot = self.drone.autopilot
         autopilot.set_mode(CopterMode.GUIDED)
@@ -151,7 +152,7 @@ class MavProxy:
         ))
 
         def poll():
-            if autopilot.position().horizontal_distance_to(point) <= accept_m:
+            if autopilot.position().horizontal_distance_to(point) <= RECOVERY_ACCEPT_M:
                 polls.stop()
                 on_recovered()
 

@@ -16,7 +16,7 @@ bit-for-bit from its root seed.
 
 from repro.sim.simulator import Event, Simulator
 from repro.sim.periodic import Periodic
-from repro.sim.process import Process, Timeout, WaitSignal, Signal
+from repro.sim.process import Process, Timeout
 from repro.sim.rng import RngRegistry
 from repro.sim.time import MICROS_PER_MS, MICROS_PER_SEC, micros, millis, seconds
 
@@ -26,8 +26,6 @@ __all__ = [
     "Periodic",
     "Process",
     "Timeout",
-    "WaitSignal",
-    "Signal",
     "RngRegistry",
     "MICROS_PER_MS",
     "MICROS_PER_SEC",

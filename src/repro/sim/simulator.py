@@ -222,9 +222,9 @@ class Simulator:
             self._now = int(until)
         return executed
 
-    def run_for(self, duration: int, max_events: Optional[int] = None) -> int:
+    def run_for(self, duration: int) -> int:
         """Run the simulation for ``duration`` microseconds from now."""
-        return self.run(until=self._now + int(duration), max_events=max_events)
+        return self.run(until=self._now + int(duration))
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""

@@ -10,14 +10,14 @@ through the SDK's ``waypoint_completed``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.android.environment import AndroidEnvironment
 from repro.android.manifest import AndroidManifest, AnDroneManifest
 from repro.containers.container import ContainerState
 from repro.flight.geofence import Geofence
-from repro.mavproxy.whitelist import RestrictionTemplate, TEMPLATES
+from repro.mavproxy.whitelist import TEMPLATES
 from repro.sdk.androne_sdk import AndroneSdk
 from repro.sdk.listener import Waypoint
 from repro.sim import Periodic
@@ -27,8 +27,15 @@ from repro.vdc.device_access import DeviceAccessPolicy, TenantPhase
 #: Memory footprint of one Android Things virtual drone (Section 6.3).
 VDRONE_MEMORY_KB = 185 * 1024
 
-#: Restriction template of a tenant created without one.
+#: Restriction template of every tenant's VFC.
 DEFAULT_TEMPLATE = TEMPLATES["standard"]
+
+#: Container supervision: the heartbeat period, the consecutive missed
+#: beats that trigger a restart from the latest checkpoint, and the
+#: restarts after which a crash-looping tenant is force-finished.
+HEARTBEAT_INTERVAL_US = 500_000
+MISS_THRESHOLD = 2
+MAX_RESTARTS = 3
 
 
 class UnknownTenantError(KeyError):
@@ -141,16 +148,13 @@ class VirtualDroneController:
         self.killed_processes: List[Tuple[str, int]] = []
         # --- container supervision (heartbeat + checkpoint/restart) ---
         self.supervision_enabled = False
-        self.heartbeat_interval_us = 500_000
-        self.miss_threshold = 2
-        self.max_restarts = 3
         #: latest checkpoint per tenant, refreshed at waypoint boundaries.
         self.checkpoints: Dict[str, object] = {}
         self._checkpoint_seq: Dict[str, int] = {}
         self.restart_counts: Dict[str, int] = {}
         self._missed_beats: Dict[str, int] = {}
         self._crashed_at_us: Dict[str, int] = {}
-        self._supervision = Periodic(sim, self.heartbeat_interval_us,
+        self._supervision = Periodic(sim, HEARTBEAT_INTERVAL_US,
                                      self._supervision_tick)
         self._restarting = False
         #: set by :meth:`stop` (the drone powered down after its last
@@ -162,7 +166,6 @@ class VirtualDroneController:
         self,
         definition: VirtualDroneDefinition,
         app_manifests: Optional[Dict[str, Tuple[AndroidManifest, Optional[AnDroneManifest]]]] = None,
-        template: Optional[RestrictionTemplate] = None,
         resume_diff=None,
         completed_waypoints=None,
     ) -> VirtualDrone:
@@ -187,7 +190,7 @@ class VirtualDroneController:
             container.write_file(f"/data/app/{package}.apk", f"apk:{package}")
             app.create()
             app.resume()
-        drone = self._register_drone(definition, container, env, template)
+        drone = self._register_drone(definition, container, env)
         if completed_waypoints:
             # Resumed flight: skip waypoints already serviced; anchor the
             # idle view at the next remaining one.
@@ -230,8 +233,7 @@ class VirtualDroneController:
         return env
 
     def _register_drone(self, definition: VirtualDroneDefinition, container,
-                        env: AndroidEnvironment,
-                        template: Optional[RestrictionTemplate]) -> VirtualDrone:
+                        env: AndroidEnvironment) -> VirtualDrone:
         """Give a created or restored tenant its SDK, VFC and allotment
         baseline, and enter it in the tenant table and the device policy."""
         name = container.name
@@ -240,7 +242,7 @@ class VirtualDroneController:
                          intent_bus=env.intents)
         vfc = self.proxy.create_vfc(
             name,
-            template or DEFAULT_TEMPLATE,
+            DEFAULT_TEMPLATE,
             waypoint=definition.waypoints[0].geopoint(),
             continuous_view=bool(definition.continuous_devices),
         )
@@ -443,28 +445,22 @@ class VirtualDroneController:
                 self.force_finish(name, reason)
 
     # ------------------------------------------------ supervision/recovery
-    def enable_supervision(self, heartbeat_interval_s: float = 0.5,
-                           miss_threshold: int = 2,
-                           max_restarts: int = 3) -> None:
+    def enable_supervision(self) -> None:
         """Start heartbeat supervision of tenant containers.
 
-        Every ``heartbeat_interval_s`` the VDC checks each unfinished
-        tenant's container; after ``miss_threshold`` consecutive missed
+        Every ``HEARTBEAT_INTERVAL_US`` the VDC checks each unfinished
+        tenant's container; after ``MISS_THRESHOLD`` consecutive missed
         beats the container is restarted from its latest checkpoint.  A
-        tenant restarted more than ``max_restarts`` times is force-
-        finished as a crash loop.  Off by default: an unsupervised VDC
-        behaves exactly as before this layer existed.
+        tenant already restarted ``MAX_RESTARTS`` times is force-finished
+        as a crash loop.  Off by default: an unsupervised VDC behaves
+        exactly as before this layer existed.
         """
         self.supervision_enabled = True
-        self.heartbeat_interval_us = int(heartbeat_interval_s * 1e6)
-        self.miss_threshold = miss_threshold
-        self.max_restarts = max_restarts
         for name, drone in self.drones.items():
             if not drone.finished and name not in self.checkpoints:
                 self.checkpoints[name] = self.checkpoint_virtual_drone(name)
-        self._supervision.period = self.heartbeat_interval_us
         if not (self._restarting or self._stopped):
-            self._supervision.start(delay=self.heartbeat_interval_us)
+            self._supervision.start(delay=HEARTBEAT_INTERVAL_US)
 
     def _supervision_tick(self) -> None:
         for name, drone in list(self.drones.items()):
@@ -476,11 +472,11 @@ class VirtualDroneController:
             misses = self._missed_beats.get(name, 0) + 1
             self._missed_beats[name] = misses
             obs.event("vdc.heartbeat_missed", tenant=name, misses=misses)
-            if misses < self.miss_threshold:
+            if misses < MISS_THRESHOLD:
                 continue
             self._missed_beats[name] = 0
             restarts = self.restart_counts.get(name, 0)
-            if restarts >= self.max_restarts:
+            if restarts >= MAX_RESTARTS:
                 self.force_finish(name, "container crash loop")
                 continue
             self.restart_counts[name] = restarts + 1
@@ -608,27 +604,29 @@ class VirtualDroneController:
                                     self.base_image_tag,
                                     checkpoint_id=f"ckpt-{name}-{seq}")
 
-    def restore_virtual_drone(self, image, definition: VirtualDroneDefinition,
-                              template: Optional[RestrictionTemplate] = None) -> VirtualDrone:
+    def restore_virtual_drone(self, image,
+                              definition: VirtualDroneDefinition) -> VirtualDrone:
         """Restore a checkpointed virtual drone onto this drone."""
         from repro.containers.checkpoint import restore_container
 
         container, env = restore_container(
             image, self.runtime, self._tenant_environment, VDRONE_MEMORY_KB)
-        drone = self._register_drone(definition, container, env, template)
+        drone = self._register_drone(definition, container, env)
         obs.event("vdc.tenant_restored", tenant=container.name)
         obs.gauge("vdc.tenants").set(len(self.drones))
         return drone
 
     # --------------------------------------------------------- flight end
-    def save_all_to_vdr(self) -> Dict[str, str]:
-        """End of flight: stop apps (saving instance state), commit each
+    def save_to_vdr(self, tenants: Iterable[str]) -> Dict[str, str]:
+        """End of a flight: for each of ``tenants`` (the tenants it
+        carried), stop apps (saving instance state), commit the
         container, store it in the VDR, and upload marked files.
 
         Returns a map of tenant name to VDR entry id.
         """
         stored: Dict[str, str] = {}
-        for name, drone in self.drones.items():
+        for name in tenants:
+            drone = self._drone(name)
             for app in list(drone.env.apps.values()):
                 if app.state.value in ("resumed", "paused", "created"):
                     app.stop()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud.planner import FlightPlanner
+from repro.core import mission
 from repro.core.mission import MissionError, MissionReport, MissionRunner
 from repro.sdk.listener import WaypointListener
 from tests.util import HOME, make_node, simple_definition, survey_manifests
@@ -82,10 +83,11 @@ class TestMissionExecution:
         assert report.energy_by_account["platform"] > 0
         assert report.energy_by_account.get("vd1", 0) > 0
 
-    def test_nav_timeout_raises_mission_error(self):
+    def test_nav_timeout_raises_mission_error(self, monkeypatch):
+        monkeypatch.setattr(mission, "NAV_TIMEOUT_S", 0.5)
         d = simple_definition("vd1", apps=["com.example.survey"])
         node, plan = ready_node([d], {"vd1": lambda v: auto_complete(v)})
-        runner = MissionRunner(node, plan, nav_timeout_s=0.5)
+        runner = MissionRunner(node, plan)
         with pytest.raises(MissionError, match="timeout"):
             runner.execute()
 

@@ -73,7 +73,7 @@ def loops(node):
 def supervised_node(system):
     """A fleet drone with every loop ``shutdown`` stops armed."""
     node = system.add_drone()
-    node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+    node.vdc.enable_supervision()
     node.proxy.start_telemetry()
     return node
 

@@ -19,6 +19,7 @@ from repro.devices import (
     VirtualFramebuffer,
 )
 from repro.devices.barometer import altitude_to_pressure, pressure_to_altitude
+from repro.devices import battery
 from repro.devices.battery import BatteryDepletedError
 from repro.devices.bus import Device
 from repro.sim import RngRegistry
@@ -239,8 +240,9 @@ class TestBattery:
         assert batt.drawn_by("vd2") == pytest.approx(3000.0)
         assert batt.drawn_j == pytest.approx(9000.0)
 
-    def test_depletion_raises(self):
-        batt = Battery(capacity_wh=1.0, usable_fraction=1.0)
+    def test_depletion_raises(self, monkeypatch):
+        monkeypatch.setattr(battery, "USABLE_FRACTION", 1.0)
+        batt = Battery(capacity_wh=1.0)
         with pytest.raises(BatteryDepletedError):
             batt.draw(3600.0, 2.0)
 

@@ -3,46 +3,47 @@
 import pytest
 
 import repro.obs as obs
-from repro.faults import RetriesExhausted, RetryPolicy, retry_call
-from repro.sim.rng import RngRegistry
+from repro.faults import RetriesExhausted, RetryPolicy, policies, retry_call
 
 
 class TestBackoffMath:
     def test_exponential_growth(self):
         policy = RetryPolicy(max_attempts=5, base_us=10_000,
-                             cap_us=1_000_000, multiplier=2.0)
+                             cap_us=1_000_000)
         assert [policy.backoff_us(n) for n in (1, 2, 3, 4)] == \
             [10_000, 20_000, 40_000, 80_000]
 
-    def test_cap_applies(self):
+    def test_cap_applies(self, monkeypatch):
+        monkeypatch.setattr(policies, "BACKOFF_MULTIPLIER", 3.0)
         policy = RetryPolicy(max_attempts=10, base_us=100_000,
-                             cap_us=250_000, multiplier=3.0)
+                             cap_us=250_000)
         assert policy.backoff_us(1) == 100_000
         assert policy.backoff_us(2) == 250_000
         assert policy.backoff_us(9) == 250_000
 
     def test_schedule_has_one_delay_per_retry(self):
-        policy = RetryPolicy(max_attempts=4, base_us=1_000)
-        assert policy.schedule_us() == [1_000, 2_000, 4_000]
+        def always_fails():
+            raise RuntimeError("down")
 
-    def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, base_us=100_000, jitter=0.5)
-        first = policy.schedule_us(RngRegistry(9).stream("faults.retry"))
-        second = policy.schedule_us(RngRegistry(9).stream("faults.retry"))
-        assert first == second  # same seed, same stream -> same schedule
-        for base, jittered in zip(policy.schedule_us(), first):
-            assert base <= jittered <= base * 1.5
-
-    def test_no_rng_means_pure_schedule(self):
-        policy = RetryPolicy(max_attempts=3, base_us=5_000, jitter=0.9)
-        assert policy.schedule_us() == [5_000, 10_000]
+        obs.reset()
+        obs.enable()
+        try:
+            with pytest.raises(RetriesExhausted):
+                retry_call(always_fails,
+                           RetryPolicy(max_attempts=4, base_us=1_000))
+            by_name = {(i.name, i.kind): i
+                       for i in obs.get_registry().instruments()}
+            backoff = by_name[("fault.retry_backoff_us", "histogram")]
+            assert backoff.samples == [1_000, 2_000, 4_000]
+        finally:
+            obs.reset()
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError, match="attempt"):
             RetryPolicy().backoff_us(0)
 
     @pytest.mark.parametrize("kw", [{"max_attempts": 0}, {"base_us": -1},
-                                    {"multiplier": 0.5}, {"jitter": 1.5}])
+                                    {"cap_us": -1}])
     def test_invalid_policy_rejected(self, kw):
         with pytest.raises(ValueError):
             RetryPolicy(**kw)

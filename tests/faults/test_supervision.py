@@ -6,6 +6,7 @@ from repro.containers.checkpoint import CheckpointError, CheckpointMissingError
 from repro.containers.container import ContainerState
 from repro.sdk.listener import WaypointListener
 from repro.sim.time import seconds
+from repro.vdc import controller
 from repro.vdc.controller import UnknownTenantError
 from tests.util import make_node, simple_definition, survey_manifests
 
@@ -39,7 +40,7 @@ def install_recorder(log):
 
 class TestCrashRecovery:
     def test_crash_is_detected_and_restarted(self, node):
-        node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+        node.vdc.enable_supervision()
         vdrone = start_tenant(node)
         node.vdc.crash_container("vd1")
         assert vdrone.container.state is ContainerState.STOPPED
@@ -49,7 +50,7 @@ class TestCrashRecovery:
         assert PACKAGE in vdrone.env.apps
 
     def test_restart_rewires_apps_and_renotifies_waypoint(self, node):
-        node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+        node.vdc.enable_supervision()
         vdrone = start_tenant(node, n_waypoints=2)
         log = []
         vdrone.installers[PACKAGE] = install_recorder(log)
@@ -67,7 +68,7 @@ class TestCrashRecovery:
         assert vdrone.current_index == 0
 
     def test_restore_resumes_from_waypoint_checkpoint(self, node):
-        node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+        node.vdc.enable_supervision()
         vdrone = start_tenant(node, n_waypoints=2)
         node.vdc.waypoint_reached("vd1")
         app = vdrone.env.apps[PACKAGE]
@@ -82,8 +83,9 @@ class TestCrashRecovery:
         assert vdrone.completed == {0}
         assert vdrone.current_index == 1
 
-    def test_crash_loop_force_finishes(self, node):
-        node.vdc.enable_supervision(heartbeat_interval_s=0.5, max_restarts=1)
+    def test_crash_loop_force_finishes(self, node, monkeypatch):
+        monkeypatch.setattr(controller, "MAX_RESTARTS", 1)
+        node.vdc.enable_supervision()
         vdrone = start_tenant(node)
         node.vdc.crash_container("vd1")
         node.sim.run(until=seconds(2.0))
@@ -94,7 +96,7 @@ class TestCrashRecovery:
         assert node.vdc.restart_counts == {"vd1": 1}  # no further restarts
 
     def test_finished_tenant_is_not_restarted(self, node):
-        node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+        node.vdc.enable_supervision()
         vdrone = start_tenant(node)
         node.vdc.waypoint_reached("vd1")
         node.vdc.waypoint_completed("vd1")
@@ -116,7 +118,7 @@ class TestCrashRecovery:
 
 class TestVdcRestart:
     def test_supervision_survives_daemon_restart(self, node):
-        node.vdc.enable_supervision(heartbeat_interval_s=0.5)
+        node.vdc.enable_supervision()
         vdrone = start_tenant(node)
         node.vdc.simulate_restart(downtime_s=0.5)
         node.sim.run(until=seconds(1.0))

@@ -7,7 +7,6 @@ import pytest
 from repro.flight import (
     GeoPoint,
     Geofence,
-    QuadcopterParams,
     QuadcopterPhysics,
     SitlDrone,
     analyze_attitude_divergence,
@@ -15,6 +14,7 @@ from repro.flight import (
     offset_geopoint,
 )
 from repro.flight.logs import FlightLog
+from repro.flight.physics import PARAMS
 from repro.mavlink import CommandLong, CopterMode, MavCommand, MavResult
 from repro.sim import Simulator, RngRegistry
 from repro.sim.time import seconds
@@ -52,11 +52,10 @@ class TestPhysics:
         assert phys.position[2] == 0.0
 
     def test_hover_throttle_balances_gravity(self):
-        params = QuadcopterParams()
-        phys = QuadcopterPhysics(params)
+        phys = QuadcopterPhysics()
         phys.position[2] = 10.0
         phys.on_ground = False
-        hover = params.hover_throttle()
+        hover = PARAMS.hover_throttle()
         for _ in range(400):
             phys.step(0.0025, (hover,) * 4)
         # Altitude holds within a couple of meters over 1 second.
@@ -73,7 +72,7 @@ class TestPhysics:
         phys = QuadcopterPhysics()
         phys.position[2] = 10.0
         phys.on_ground = False
-        hover = phys.params.hover_throttle()
+        hover = PARAMS.hover_throttle()
         # More thrust on the right (motors 1,4) rolls left (negative).
         for _ in range(100):
             phys.step(0.0025, (hover + 0.05, hover - 0.05, hover - 0.05, hover + 0.05))
@@ -83,7 +82,7 @@ class TestPhysics:
         phys = QuadcopterPhysics()
         phys.position[2] = 5.0
         phys.on_ground = False
-        hover = phys.params.hover_throttle()
+        hover = PARAMS.hover_throttle()
         for _ in range(100):
             phys.step(0.01, (hover,) * 4)
         # ~1 second of hover at 1.5 kg should be on the order of 150-300 J.

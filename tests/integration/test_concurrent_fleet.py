@@ -1,6 +1,6 @@
 """Concurrent fleet flights: several drones airborne on one shared clock.
 
-The mission runner is a simulation process, so a fleet's flights overlap
+Each mission runs as a simulation process, so a fleet's flights overlap
 in simulated time — wall-clock of the *fleet* is the max of its flights,
 not their sum, which is what a real multi-drone operator gets.
 """
@@ -10,7 +10,7 @@ from repro.cloud.planner import FlightPlanner
 from repro.core.drone_node import DroneNode
 from repro.core.mission import MissionRunner
 from repro.sdk.listener import WaypointListener
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 from tests.util import HOME, simple_definition, survey_manifests
 
 
@@ -31,13 +31,18 @@ def prepare_drone(sim, seed, tenant_name, east_offset):
     return node, MissionRunner(node, plan)
 
 
+def fly(sim, runner):
+    """Start the mission as a process on the shared clock."""
+    return Process(sim, runner.steps())
+
+
 class TestConcurrentFlights:
     def test_two_drones_fly_simultaneously(self):
         sim = Simulator()
         node_a, runner_a = prepare_drone(sim, 301, "tenant-a", 50.0)
         node_b, runner_b = prepare_drone(sim, 302, "tenant-b", -70.0)
-        proc_a = runner_a.start_async()
-        proc_b = runner_b.start_async()
+        proc_a = fly(sim, runner_a)
+        proc_b = fly(sim, runner_b)
         sim.run(until=sim.now + 400_000_000)
         assert proc_a.done and proc_b.done
         assert runner_a.report.returned_home
@@ -57,8 +62,8 @@ class TestConcurrentFlights:
         _, runner_a = prepare_drone(sim, 303, "t1", 60.0)
         _, runner_b = prepare_drone(sim, 304, "t2", 60.0)
         start = sim.now
-        proc_a = runner_a.start_async()
-        proc_b = runner_b.start_async()
+        proc_a = fly(sim, runner_a)
+        proc_b = fly(sim, runner_b)
         sim.run(until=sim.now + 600_000_000)
         assert proc_a.done and proc_b.done
         fleet_duration = max(runner_a.report.duration_s,
@@ -70,8 +75,8 @@ class TestConcurrentFlights:
         sim = Simulator()
         node_a, runner_a = prepare_drone(sim, 305, "ta", 80.0)
         node_b, runner_b = prepare_drone(sim, 306, "tb", -80.0)
-        runner_a.start_async()
-        runner_b.start_async()
+        fly(sim, runner_a)
+        fly(sim, runner_b)
         # Sample positions while both are en-route to their waypoints.
         max_east_a, min_east_b = 0.0, 0.0
         for _ in range(40):

@@ -127,7 +127,7 @@ class TestResume:
         # The app completed waypoint 0 synchronously; the storm hits
         # before waypoint 1 can be flown.
         node1.vdc.force_finish(tenant, "inclement weather")
-        stored = node1.vdc.save_all_to_vdr()
+        stored = node1.vdc.save_to_vdr([tenant])
         entry = system.vdr.fetch(stored[tenant])
         assert entry.resumable
         assert entry.completed_waypoints == frozenset({0})
@@ -175,7 +175,7 @@ class TestResume:
         # Waypoint 0 completes normally; interruption hits while idle.
         node1.vdc.waypoint_reached(tenant, 0)      # app completes it
         node1.vdc.force_finish(tenant, "inclement weather")
-        stored = node1.vdc.save_all_to_vdr()
+        stored = node1.vdc.save_to_vdr([tenant])
         entry = system.vdr.fetch(stored[tenant])
         assert entry.completed_waypoints == frozenset({0})
         assert entry.resumable

@@ -12,6 +12,14 @@ Three flights are pinned: the Section 6.6 three-tenant flight of
 ``test_multi_tenant_flight.py``, the weather-interrupted flight of
 ``test_interrupt_resume.py`` and that module's resume flight on fresh
 hardware.  Each digest is the SHA-256 of :func:`outcome_json`.
+
+The three-tenant flight flies two plans.  Its digest was recorded again
+when each flight's portal notices and offload came to cover only the
+tenants that flight carries: each order now hears "airborne" and
+"complete" once, at its own flight, each tenant is stored in the VDR
+once (``vdr-<tenant>-1``), and ``tenants_completed`` lists the first
+flight's tenant before the second's.  The mission events, waypoint,
+energy and interrupted outcomes are unchanged.
 """
 
 import dataclasses
@@ -26,7 +34,7 @@ from tests.integration import test_multi_tenant_flight as multi_module
 #: flight -> SHA-256 of :func:`outcome_json` for that flight.
 FLY_ORDERS_DIGESTS = {
     "three-tenant":
-        "68e6e166040233176592d7a5169f14cb94088d93e911426ef1275ab7486e5e38",
+        "798b13487dba0f434e40b48ba713b9f4d1a74ad6c999fab0c993baa2a128260e",
     "interrupted":
         "09363a6c27f1627ed7687faece08b91ade6a22af9ec11f9aa1570ee781db8206",
     "resumed":
@@ -96,7 +104,7 @@ def resumed_flight():
     installer(vdrone.env.apps["com.mapper"], vdrone.sdk, vdrone)
     node1.vdc.waypoint_reached(tenant, 0)
     node1.vdc.force_finish(tenant, "inclement weather")
-    node1.vdc.save_all_to_vdr()
+    node1.vdc.save_to_vdr([tenant])
     node2 = system.add_drone(seed=73)
     report = system.fly_orders([order], node=node2, resume=True)
     return report, order

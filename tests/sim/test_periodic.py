@@ -206,7 +206,7 @@ def fake_kernel(sim):
 # loop's bodies run so far through the component's own public state.
 def invariant_monitor():
     sim = Simulator()
-    monitor = InvariantMonitor(sim, interval_s=0.5)
+    monitor = InvariantMonitor(sim)
     return sim, monitor.start, monitor.stop, lambda: monitor.checks
 
 

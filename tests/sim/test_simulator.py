@@ -5,7 +5,7 @@ import pytest
 import random
 
 from repro.sched import FifoTieBreaker, RandomTieBreaker
-from repro.sim import Simulator, Process, Timeout, Signal, WaitSignal, RngRegistry
+from repro.sim import Simulator, Process, Timeout, RngRegistry
 from repro.sim.simulator import Event, SimulationError
 from repro.sim.time import millis, seconds, to_seconds
 
@@ -265,67 +265,6 @@ class TestProcesses:
         sim.run()
         assert proc.done
         assert proc.result == 42
-
-    def test_signal_wakes_waiting_process_with_value(self):
-        sim = Simulator()
-        sig = Signal(sim, "data")
-        got = []
-
-        def waiter():
-            value = yield WaitSignal(sig)
-            got.append((sim.now, value))
-
-        Process(sim, waiter(), "w")
-        sim.after(75, lambda: sig.fire("hello"))
-        sim.run()
-        assert got == [(75, "hello")]
-
-    def test_signal_wakes_all_current_waiters(self):
-        sim = Simulator()
-        sig = Signal(sim)
-        woken = []
-
-        def waiter(tag):
-            yield WaitSignal(sig)
-            woken.append(tag)
-
-        for tag in range(3):
-            Process(sim, waiter(tag), f"w{tag}")
-        sim.after(10, sig.fire)
-        sim.run()
-        assert sorted(woken) == [0, 1, 2]
-
-    def test_signal_does_not_wake_future_waiters(self):
-        sim = Simulator()
-        sig = Signal(sim)
-        woken = []
-
-        def late_waiter():
-            yield Timeout(20)
-            yield WaitSignal(sig)
-            woken.append("late")
-
-        Process(sim, late_waiter(), "late")
-        sim.after(10, sig.fire)
-        sim.run()
-        assert woken == []
-
-    def test_process_finished_signal_fires(self):
-        sim = Simulator()
-
-        def short():
-            yield Timeout(5)
-            return "done"
-
-        def watcher(proc):
-            value = yield WaitSignal(proc.finished)
-            results.append(value)
-
-        results = []
-        proc = Process(sim, short(), "s")
-        Process(sim, watcher(proc), "w")
-        sim.run()
-        assert results == ["done"]
 
     def test_process_exception_propagates(self):
         sim = Simulator()

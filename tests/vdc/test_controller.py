@@ -211,7 +211,7 @@ class TestVdrSaveResume:
         app.write_file("result.jpg", "jpeg-bytes")
         vdrone.sdk.mark_file_for_user(f"{app.data_dir}/result.jpg")
         node.vdc.waypoint_completed("vd1")
-        stored = node.vdc.save_all_to_vdr()
+        stored = node.vdc.save_to_vdr(["vd1"])
         assert "vd1" in stored
         assert storage.get("vd1", f"{app.data_dir}/result.jpg") == "jpeg-bytes"
         entry = vdr.fetch(stored["vd1"])
@@ -226,7 +226,7 @@ class TestVdrSaveResume:
         app = vdrone.env.apps["com.example.survey"]
         app.on_save_instance_state = lambda: {"progress": 7}
         node1.vdc.force_finish("vd1", "weather")
-        stored = node1.vdc.save_all_to_vdr()
+        stored = node1.vdc.save_to_vdr(["vd1"])
         entry = vdr.fetch(stored["vd1"])
         assert entry.resumable
         # Resume on different hardware.

@@ -81,10 +81,10 @@ def workload_soak(calls: int):
 
 def workload_flight(calls: int):
     """The scalar flight integrator, the per-drone physics floor."""
-    from repro.flight.physics import QuadcopterPhysics
+    from repro.flight.physics import PARAMS, QuadcopterPhysics
 
     vehicle = QuadcopterPhysics()
-    hover = vehicle.params.hover_throttle()
+    hover = PARAMS.hover_throttle()
     command = (hover + 0.01, hover, hover, hover)
 
     def run():
