@@ -31,14 +31,19 @@ from repro.mavproxy.whitelist import TEMPLATES
 #: or a *less* capable one (its VFC simply restricts further).
 WHITELIST_CLASSES = ("guided-only", "standard", "full")
 
+#: class -> capability rank (0 = most restricted).  Placement looks
+#: ranks up here directly: a drone's class is validated by
+#: :meth:`DroneSpec.validate`, a request's when the request is made.
+WHITELIST_RANK = {name: rank for rank, name in enumerate(WHITELIST_CLASSES)}
+
 
 def whitelist_rank(name: str) -> int:
-    """Capability rank of a whitelist class (0 = most restricted)."""
-    if name not in WHITELIST_CLASSES or name not in TEMPLATES:
+    """Capability rank of a whitelist class, validated."""
+    if name not in WHITELIST_RANK or name not in TEMPLATES:
         raise ControlPlaneConfigError(
             f"unknown whitelist class {name!r}: choose from "
             f"{list(WHITELIST_CLASSES)}")
-    return WHITELIST_CLASSES.index(name)
+    return WHITELIST_RANK[name]
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,15 @@ class DroneState:
     flights_flown: int = 0
     tenants_served: int = 0
 
+    #: next-flight budget left after the queued tenants; kept by the
+    #: three mutators of ``pending`` (the placer reads these on every
+    #: feasibility check, most of them rejects).
+    energy_headroom_j: float = field(init=False)
+    time_headroom_s: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self._refresh_headroom()
+
     # -- next-flight headroom ---------------------------------------------------
     @property
     def committed_energy_j(self) -> float:
@@ -101,13 +115,12 @@ class DroneState:
     def committed_time_s(self) -> float:
         return sum(p.duration_s for p in self.pending.values())
 
-    @property
-    def energy_headroom_j(self) -> float:
-        return self.spec.energy_budget_j - self.committed_energy_j
-
-    @property
-    def time_headroom_s(self) -> float:
-        return self.spec.time_budget_s - self.committed_time_s
+    def _refresh_headroom(self) -> None:
+        # Re-summed, not adjusted by += / -=: a running total drifts in
+        # the last bit after a withdraw, and scores must stay exact.
+        self.energy_headroom_j = (self.spec.energy_budget_j
+                                  - self.committed_energy_j)
+        self.time_headroom_s = self.spec.time_budget_s - self.committed_time_s
 
     @property
     def slots_free(self) -> int:
@@ -130,13 +143,16 @@ class DroneState:
                 f"{self.spec.drone_id} has no free slot for "
                 f"{placed.tenant!r}")
         self.pending[placed.tenant] = placed
+        self._refresh_headroom()
 
     def withdraw(self, tenant: str) -> PlacedTenant:
         """Remove a queued (not yet airborne) tenant."""
         if tenant not in self.pending:
             raise DroneStateError(
                 f"{tenant!r} is not queued on {self.spec.drone_id}")
-        return self.pending.pop(tenant)
+        placed = self.pending.pop(tenant)
+        self._refresh_headroom()
+        return placed
 
     def begin_flight(self) -> List[PlacedTenant]:
         if self.in_flight:
@@ -148,6 +164,7 @@ class DroneState:
                 f"{self.spec.drone_id} has no tenants to fly")
         self.flying = self.pending
         self.pending = {}
+        self._refresh_headroom()
         self.in_flight = True
         return list(self.flying.values())
 

@@ -31,6 +31,7 @@ from repro.cloud.controlplane.errors import (
     NoFeasiblePlacementError,
 )
 from repro.cloud.controlplane.fleet import (
+    WHITELIST_RANK,
     DroneState,
     PlacedTenant,
     whitelist_rank,
@@ -47,6 +48,9 @@ class PlacementRequest:
     energy_j: float
     duration_s: float
     whitelist_class: str = "standard"
+
+    def __post_init__(self) -> None:
+        whitelist_rank(self.whitelist_class)
 
     def as_placed(self) -> PlacedTenant:
         return PlacedTenant(
@@ -79,8 +83,8 @@ def feasible(drone: DroneState, request: PlacementRequest) -> bool:
             and drone.slots_free >= 1
             and drone.energy_headroom_j >= request.energy_j
             and drone.time_headroom_s >= request.duration_s
-            and whitelist_rank(drone.spec.whitelist_class)
-            >= whitelist_rank(request.whitelist_class))
+            and WHITELIST_RANK[drone.spec.whitelist_class]
+            >= WHITELIST_RANK[request.whitelist_class])
 
 
 class PlacementPolicy:
@@ -119,8 +123,8 @@ class BinPackingPlacer(PlacementPolicy):
         time_left = (drone.time_headroom_s - request.duration_s) \
             / drone.spec.time_budget_s
         distance = _distance_m(drone, request) / LOCALITY_SCALE_M
-        class_slack = (whitelist_rank(drone.spec.whitelist_class)
-                       - whitelist_rank(request.whitelist_class))
+        class_slack = (WHITELIST_RANK[drone.spec.whitelist_class]
+                       - WHITELIST_RANK[request.whitelist_class])
         return (ENERGY_WEIGHT * energy_left
                 + TIME_WEIGHT * time_left
                 + LOCALITY_WEIGHT * distance

@@ -26,7 +26,11 @@ from repro.cloud.controlplane.errors import (
     MigrationError,
     NoFeasiblePlacementError,
 )
-from repro.cloud.controlplane.fleet import DroneSpec, FleetDirectory
+from repro.cloud.controlplane.fleet import (
+    DroneSpec,
+    FleetDirectory,
+    whitelist_rank,
+)
 from repro.cloud.controlplane.migration import (
     MigrationCoordinator,
     MigrationTicket,
@@ -156,10 +160,13 @@ class CityControlPlane:
         :class:`NoFeasiblePlacementError` when no physical drone can
         host the tenant (the order is cancelled through the portal, so
         the admission slot is released — a *typed reject through the
-        admission layer*, not a leak).
+        admission layer*, not a leak).  A bad ``legs`` or
+        ``whitelist_class`` raises :class:`ControlPlaneConfigError` before
+        admission, so it takes no slot.
         """
         if legs < 1:
             raise ControlPlaneConfigError(f"legs must be >= 1, got {legs}")
+        whitelist_rank(whitelist_class)
         shard = self.shard_for(user)
         order = shard.submit(user, waypoints, max_charge=max_charge,
                              max_duration_s=max_duration_s,

@@ -132,8 +132,8 @@ class MissionRunner:
         start_us = sim.now
         vdc = node.vdc
         vdc.on_waypoint_done = self._done_waypoints.append
-        # The notices and the offload cover this flight's tenants only; a
-        # later flight of the day carries the rest.
+        # The notices, an abort and the offload cover this flight's
+        # tenants only; a later flight of the day carries the rest.
         tenants = self.plan.tenants()
 
         # Portal: flight started, hand out access info.
@@ -165,7 +165,7 @@ class MissionRunner:
                 if aborted_reason is not None:
                     report.log(sim.now, f"flight aborted: {aborted_reason}")
                     for name, vdrone in vdc.drones.items():
-                        if not vdrone.finished:
+                        if name in tenants and not vdrone.finished:
                             vdc.force_finish(name, aborted_reason)
                     break
             tenant = stop.tenant

@@ -183,7 +183,8 @@ class CityInvariantMonitor(SweepMonitor):
 
     * **capacity** — a drone's queued tenants never exceed its slot
       count nor its per-flight energy/time budgets; airborne manifests
-      never exceed the slot count.
+      never exceed the slot count; the headroom the drone keeps for the
+      placer equals its budgets minus the re-summed queue.
     * **single placement** — a tenant is hosted by at most one physical
       drone at any instant.
     * **conservation** — every tenant record is in a known state and
@@ -195,24 +196,31 @@ class CityInvariantMonitor(SweepMonitor):
 
     The drone and shard rules sweep everything every time; there are few
     of those.  Records only grow, and most of them end terminal, so the
-    two per-record rules re-check only these records:
+    two per-record rules re-check only the records that can have moved.
+    Every record write goes through the
+    :class:`~repro.cloud.controlplane.TenantRecord` write barrier into
+    :attr:`CityControlPlane.changed`, direct writes included.
 
-    * the ones added or written since the last sweep: every write goes
-      through the :class:`~repro.cloud.controlplane.TenantRecord` write
-      barrier into :attr:`CityControlPlane.changed`, direct writes
-      included;
-    * the ones that were not terminal, or whose route was flagged, when
-      last checked;
+    Conservation re-checks:
+
+    * the records routing re-checks (below);
+    * the ones that were not terminal when last checked;
     * every tenant a drone hosts now.
 
-    Any other record was terminal and routed right when last checked,
-    has not been written since, and no drone hosts it now: its state is
-    still terminal, so conservation holds, and its user and shard are
-    unchanged.  A route depends only on the user and the ring membership
-    (consistent hashing), so routing holds too, unless the membership
-    changed; then every record's route is re-checked.  Violations come
-    out in rule order, records in ``plane.records`` order (records are
-    never removed), exactly as a full sweep would emit them.
+    Any other record was terminal when last checked, has not been
+    written since, and no drone hosts it now: its state is still
+    terminal, so conservation holds.
+
+    Routing re-checks the records added or written since the last sweep
+    and the ones whose route it flagged last time.  A route depends only
+    on the record's user and shard and on the ring membership
+    (consistent hashing); a record that is not written keeps its user
+    and shard, so its route moves only when the membership does, and
+    then every record's route is re-checked.
+
+    Violations come out in rule order, records in ``plane.records``
+    order (records are never removed), exactly as a full sweep would
+    emit them.
     """
 
     #: record states that never change again on their own.
@@ -225,19 +233,26 @@ class CityInvariantMonitor(SweepMonitor):
         self.max_pending = max_pending
         #: tenant -> its position in ``plane.records`` (insertion order).
         self._position: Dict[str, int] = {}
-        #: tenants the next sweep re-checks even if nothing writes them.
+        #: tenants the next sweep re-checks for conservation even if
+        #: nothing writes them.
         self._watch: Set[str] = set()
+        #: tenants whose route the last sweep flagged.
+        self._route_watch: Set[str] = set()
         #: ring membership at the last sweep.
         self._ring: Optional[List[str]] = None
 
     # -- the sweep --------------------------------------------------------------
     def _sweep(self) -> None:
         hosts = self._hosts()
-        recheck = self._recheck(hosts)
+        written = self._written()
+        routes = written | self._route_watch
+        placement = self._in_order(routes | self._watch | hosts.keys())
+        routing = self._in_order(routes)
+        self._watch, self._route_watch = set(), set()
         self._check_capacity()
-        self._check_placement(hosts, recheck)
+        self._check_placement(hosts, placement)
         self._check_admission()
-        self._check_routing(recheck)
+        self._check_routing(routing)
 
     def _hosts(self) -> Dict[str, List[str]]:
         """tenant -> ids of the drones that queue or fly it now."""
@@ -247,17 +262,21 @@ class CityInvariantMonitor(SweepMonitor):
                 hosts.setdefault(tenant, []).append(drone.spec.drone_id)
         return hosts
 
-    def _recheck(self, hosts: Dict[str, List[str]]) -> List[str]:
-        """The tenants this sweep re-checks, in ``plane.records`` order."""
+    def _written(self) -> Set[str]:
+        """The tenants added or written since the last sweep (drains
+        ``plane.changed``)."""
         position = self._position
-        tenants = self._watch | self.plane.changed
-        self._watch = set()
+        written = set(self.plane.changed)
         self.plane.changed.clear()
-        tenants.update(hosts)
         if len(self.plane.records) > len(position):
             for tenant in islice(self.plane.records, len(position), None):
                 position[tenant] = len(position)
-                tenants.add(tenant)
+                written.add(tenant)
+        return written
+
+    def _in_order(self, tenants: Set[str]) -> List[str]:
+        """The recorded ones of ``tenants``, in ``plane.records`` order."""
+        position = self._position
         return sorted((t for t in tenants if t in position),
                       key=position.__getitem__)
 
@@ -272,14 +291,25 @@ class CityInvariantMonitor(SweepMonitor):
                 self._flag(spec.drone_id, "capacity",
                            f"{len(drone.flying)} airborne > "
                            f"{spec.capacity} slots")
-            if drone.committed_energy_j > spec.energy_budget_j + 1e-6:
+            energy_j = drone.committed_energy_j
+            time_s = drone.committed_time_s
+            if energy_j > spec.energy_budget_j + 1e-6:
                 self._flag(spec.drone_id, "capacity",
-                           f"committed {drone.committed_energy_j:.0f} J > "
+                           f"committed {energy_j:.0f} J > "
                            f"budget {spec.energy_budget_j:.0f} J")
-            if drone.committed_time_s > spec.time_budget_s + 1e-6:
+            if time_s > spec.time_budget_s + 1e-6:
                 self._flag(spec.drone_id, "capacity",
-                           f"committed {drone.committed_time_s:.0f} s > "
+                           f"committed {time_s:.0f} s > "
                            f"budget {spec.time_budget_s:.0f} s")
+            # Exact: the kept headroom is this very expression, evaluated
+            # at the last write through the drone's mutators.
+            if (drone.energy_headroom_j != spec.energy_budget_j - energy_j
+                    or drone.time_headroom_s != spec.time_budget_s - time_s):
+                self._flag(spec.drone_id, "capacity",
+                           f"kept headroom {drone.energy_headroom_j!r} J "
+                           f"/ {drone.time_headroom_s!r} s, but the queue "
+                           f"leaves {spec.energy_budget_j - energy_j!r} J "
+                           f"/ {spec.time_budget_s - time_s!r} s")
 
     def _check_placement(self, hosts: Dict[str, List[str]],
                          recheck: List[str]) -> None:
@@ -320,7 +350,7 @@ class CityInvariantMonitor(SweepMonitor):
             record = self.plane.records[tenant]
             owner = router.route(record.user)
             if owner != record.shard_id:
-                self._watch.add(tenant)
+                self._route_watch.add(tenant)
                 self._flag(record.tenant, "routing",
                            f"user {record.user!r} admitted on "
                            f"{record.shard_id} but routes to {owner}")

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.loadgen import CityScenario, run_city
+from repro.cloud.controlplane import ControlPlaneConfigError
+from repro.loadgen import CityHarness, CityScenario, run_city
+from repro.loadgen.city import CITY_HOME
 from repro.loadgen.scenario import ScenarioError
 
 # 8 drones so the whitelist mix yields two "full"-capable drones: the
@@ -83,3 +85,21 @@ class TestCityRun:
         firstfit = run_city(small_scenario(placer="firstfit"))
         firstfit.assert_clean()
         assert binpack.placement_mean_m <= firstfit.placement_mean_m + 1e-9
+
+
+class TestOrderIntake:
+    def test_unknown_whitelist_class_takes_no_admission_slot(self):
+        plane = CityHarness(CityScenario(seed=42)).plane
+        shard = plane.shard_for("user0000")
+        pending = shard.admission.pending
+        orders = dict(shard.portal.orders)
+        waypoint = {"latitude": CITY_HOME.latitude,
+                    "longitude": CITY_HOME.longitude, "altitude": 30.0}
+        # Small enough that every drone could host it, but for its class.
+        with pytest.raises(ControlPlaneConfigError):
+            plane.submit_order("user0000", [waypoint], 500.0, 500.0,
+                               whitelist_class="bogus", max_charge=4.0,
+                               max_duration_s=60.0)
+        assert shard.admission.pending == pending
+        assert shard.portal.orders == orders
+        assert plane.records == {}

@@ -106,6 +106,21 @@ def test_capacity_flags_an_over_queued_drone(live):
     assert live.next_sweep() == {"capacity"}
 
 
+def test_capacity_flags_headroom_the_drone_no_longer_keeps(live):
+    """A tenant written straight into a queue, past the drone's
+    mutators, breaks no budget; the headroom the placer reads is stale."""
+    drone = next(d for d in live.plane.fleet.states() if d.slots_free)
+    drone.pending["extra"] = PlacedTenant(
+        tenant="extra", energy_j=1.0, duration_s=1.0,
+        east_m=0.0, north_m=0.0, whitelist_class="standard")
+    assert drone.committed_energy_j <= drone.spec.energy_budget_j
+    assert drone.committed_time_s <= drone.spec.time_budget_s
+    assert live.next_sweep() == {"capacity"}
+    assert [v.subject for v in live.monitor.violations] \
+        == [drone.spec.drone_id]
+    assert "kept headroom" in live.monitor.violations[0].detail
+
+
 def test_admission_flags_a_pending_count_out_of_range(live):
     live.plane.shards[0].admission.pending = SCENARIO.max_pending + 1
     assert live.next_sweep() == {"admission"}

@@ -8,10 +8,13 @@ take-off and "complete" at its own landing, exactly once each.
 """
 
 from collections import defaultdict
+from functools import partial
 
 import pytest
 
+import repro.core.androne as androne
 from repro.cloud.portal import WebPortal
+from repro.core.mission import MissionRunner
 from repro.loadgen import FleetHarness, FleetScenario
 
 
@@ -97,3 +100,29 @@ def test_vdr_holds_one_entry_per_tenant(day):
 def test_every_tenant_completes(day):
     _, result, *_ = day
     assert len(result.completed) == 8
+
+
+def test_a_weather_abort_finishes_only_its_own_flights_tenants():
+    """Wind at flight 1's first stop aborts flight 1 alone: flight 2's
+    orders keep their fine weather and are serviced."""
+    harness = FleetHarness(FleetScenario(seed=42, drones=1,
+                                         tenants_per_drone=8))
+    polls = []
+
+    def wind_once():
+        polls.append(harness.system.sim.now)
+        return "wind" if len(polls) == 1 else None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(androne, "MissionRunner",
+                      partial(MissionRunner, abort_check=wind_once))
+        result = harness.run()
+
+    slot = harness.slots[0]
+    first, second = (plan.tenants() for plan in slot.plans)
+    reasons = {name: vdrone.force_finished_reason
+               for name, vdrone in slot.node.vdc.drones.items()}
+    assert {reasons[t] for t in first} == {"wind"}
+    assert [reasons[t] for t in second] == [None] * len(second)
+    assert sorted(second) == result.completed
+    assert all(result.tenants[t].waypoints_completed > 0 for t in second)
